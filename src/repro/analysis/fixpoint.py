@@ -31,6 +31,7 @@ from repro.analysis.constraints import ConstraintSet
 from repro.analysis.dominated import apply_dominated
 from repro.analysis.disjoint import apply_disjoint
 from repro.analysis.tails import apply_tails
+from repro.core.engine import EvalEngine
 from repro.core.instance import ProblemInstance
 from repro.errors import ValidationError
 
@@ -108,13 +109,15 @@ def analyze(
         constraints.add_precedence(rule.before, rule.after, reason=rule.reason)
     report = AnalysisReport(constraints=constraints)
     start = time.perf_counter()
+    # One built-set memo serves every tail pass of this call.
+    engine = EvalEngine(instance)
     passes = {
         "A": lambda: apply_alliances(instance, constraints),
         "C": lambda: apply_colonized(instance, constraints),
         "M": lambda: apply_dominated(instance, constraints),
         "D": lambda: apply_disjoint(instance, constraints),
         "T": lambda: apply_tails(
-            instance, constraints, max_patterns=max_tail_patterns
+            instance, constraints, max_patterns=max_tail_patterns, engine=engine
         ),
     }
     while True:

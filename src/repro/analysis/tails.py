@@ -12,6 +12,10 @@ when one index is the last element of every champion, it must be the
 last deployed index.  The surrounding loop then fixes that index,
 shrinks the active problem, and repeats (Section 5.6, iterate and
 recurse).
+
+The permutations of one tail set revisit the same few built-sets, and
+successive tail lengths and rounds revisit them again, so every step's
+runtime comes from the built-set memo of an :class:`EvalEngine`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.constraints import ConstraintSet
+from repro.core.engine import EvalEngine
 from repro.core.instance import ProblemInstance
 from repro.errors import InfeasibleError
 
@@ -48,20 +53,21 @@ class TailPattern:
 
 
 def _tail_objective(
-    instance: ProblemInstance, preceding: Set[int], order: Sequence[int]
+    engine: EvalEngine, preceding: int, order: Sequence[int]
 ) -> float:
     """Exact objective contribution of the tail steps.
 
-    ``preceding`` is the set of indexes built before the tail begins; all
-    their interactions into the tail are therefore determined.
+    ``preceding`` is the bitmask of indexes built before the tail
+    begins; all their interactions into the tail are therefore
+    determined.
     """
-    built = set(preceding)
+    built = preceding
     objective = 0.0
     for index_id in order:
-        runtime = instance.total_runtime(built)
-        cost = instance.build_cost(index_id, built)
+        runtime = engine.runtime_of(built)
+        cost = engine.build_cost_in(index_id, built)
         objective += runtime * cost
-        built.add(index_id)
+        built |= 1 << index_id
     return objective
 
 
@@ -97,15 +103,19 @@ def enumerate_tail_patterns(
     active: Set[int],
     length: int,
     max_patterns: int = DEFAULT_MAX_PATTERNS,
+    engine: Optional[EvalEngine] = None,
 ) -> Optional[List[TailPattern]]:
     """Enumerate all feasible ordered tails of ``length`` within ``active``.
 
     Returns ``None`` when the enumeration would exceed ``max_patterns``
     (the analysis then gives up rather than pay unbounded pre-analysis
-    cost, mirroring the paper's threshold ``k``).
+    cost, mirroring the paper's threshold ``k``).  ``engine`` supplies
+    the built-set runtime memo; pass one to share it across calls.
     """
     if length > len(active):
         return []
+    if engine is None:
+        engine = EvalEngine(instance)
     candidates = [
         t
         for t in sorted(active)
@@ -122,14 +132,14 @@ def enumerate_tail_patterns(
             for t in combo
         ):
             continue
-        preceding = active - member_set
+        preceding = EvalEngine.mask_of(active - member_set)
         for perm in itertools.permutations(combo):
             count += 1
             if count > max_patterns:
                 return None
             if not _order_feasible(constraints, active, perm):
                 continue
-            objective = _tail_objective(instance, preceding, perm)
+            objective = _tail_objective(engine, preceding, perm)
             patterns.append(TailPattern(tuple(perm), objective))
     return patterns
 
@@ -151,13 +161,14 @@ def _find_forced_last(
     active: Set[int],
     max_patterns: int,
     max_length: int,
+    engine: EvalEngine,
 ) -> Optional[int]:
     """Index that is last in every champion, or ``None``."""
     for length in range(2, max_length + 1):
         if length > len(active) - 1:
             break
         patterns = enumerate_tail_patterns(
-            instance, constraints, active, length, max_patterns
+            instance, constraints, active, length, max_patterns, engine
         )
         if patterns is None:
             break  # enumeration threshold exceeded; stop growing
@@ -175,20 +186,25 @@ def apply_tails(
     constraints: ConstraintSet,
     max_patterns: int = DEFAULT_MAX_PATTERNS,
     max_length: int = 4,
+    engine: Optional[EvalEngine] = None,
 ) -> int:
     """Iteratively pin forced-last indexes (Sections 5.5–5.6).
 
     Each round enumerates tail patterns over the still-active indexes; if
     one index closes every champion it is fixed to the end (precedences
     from every other active index) and the analysis recurses on the rest.
+    ``engine`` supplies the built-set runtime memo, as in
+    :func:`enumerate_tail_patterns`.
 
     Returns the number of new precedence constraints added.
     """
+    if engine is None:
+        engine = EvalEngine(instance)
     added = 0
     active = set(range(instance.n_indexes))
     while len(active) >= 3:
         forced = _find_forced_last(
-            instance, constraints, active, max_patterns, max_length
+            instance, constraints, active, max_patterns, max_length, engine
         )
         if forced is None:
             break

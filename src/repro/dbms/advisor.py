@@ -57,6 +57,7 @@ def generate_candidates(
     """
     config = config or AdvisorConfig()
     seen: Dict[Tuple[str, Tuple[str, ...], Tuple[str, ...]], IndexSpec] = {}
+    names: Set[str] = set()
 
     def register(table: str, keys: Sequence[str], includes: Sequence[str], tag: str) -> None:
         keys = tuple(keys)[: config.max_key_columns]
@@ -70,9 +71,10 @@ def generate_candidates(
             return
         name = _candidate_name(table, keys, tag)
         suffix = 0
-        while any(spec.name == name for spec in seen.values()):
+        while name in names:
             suffix += 1
             name = _candidate_name(table, keys, f"{tag}{suffix}")
+        names.add(name)
         seen[signature] = IndexSpec(
             name=name,
             table=table,
@@ -144,6 +146,10 @@ class IndexAdvisor:
         self.workload = workload
         self.config = config or AdvisorConfig()
         self.whatif = WhatIfOptimizer(catalog)
+        self._queries_on: Dict[str, List[Query]] = {}
+        for query in workload:
+            for table in query.tables:
+                self._queries_on.setdefault(table, []).append(query)
 
     # ------------------------------------------------------------------
     def register_candidates(
@@ -182,8 +188,7 @@ class IndexAdvisor:
         return before - after
 
     def _queries_touching(self, candidate: str) -> List[Query]:
-        table = self.catalog.index(candidate).table
-        return [q for q in self.workload if table in q.tables]
+        return self._queries_on.get(self.catalog.index(candidate).table, [])
 
     def select(
         self, candidates: Optional[Sequence[IndexSpec]] = None

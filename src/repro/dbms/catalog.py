@@ -5,11 +5,16 @@ design) from *hypothetical* ones (registered for what-if analysis, per
 the AutoAdmin what-if interface the paper builds on).  The optimizer is
 always costed against an explicit *configuration* — a set of index names
 it may use — so what-if evaluation never mutates the catalog.
+
+Only the indexes of a configuration that sit on a plan's tables can
+change that plan (:meth:`Catalog.relevant`); the optimizer's memos key
+on that part alone and drop their entries whenever :attr:`Catalog.version`
+moves.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.dbms.schema import IndexSpec, Table
 from repro.errors import CatalogError
@@ -18,12 +23,19 @@ __all__ = ["Catalog"]
 
 
 class Catalog:
-    """A named collection of tables and indexes."""
+    """A named collection of tables and indexes.
+
+    Attributes:
+        version: Bumped by every table or index change, so memos of
+            plans costed against this catalog know when to drop them.
+    """
 
     def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
         self._indexes: Dict[str, IndexSpec] = {}
+        self._by_table: Dict[str, Dict[str, IndexSpec]] = {}
         self._hypothetical: Set[str] = set()
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Tables
@@ -37,6 +49,8 @@ class Catalog:
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = table
+        self._by_table[table.name] = {}
+        self.version += 1
 
     def table(self, name: str) -> Table:
         """Look up a table by name."""
@@ -77,15 +91,19 @@ class Catalog:
                         f"{other.name!r}"
                     )
         self._indexes[spec.name] = spec
+        self._by_table[spec.table][spec.name] = spec
         if hypothetical:
             self._hypothetical.add(spec.name)
+        self.version += 1
 
     def drop_index(self, name: str) -> None:
         """Remove an index from the catalog."""
         if name not in self._indexes:
             raise CatalogError(f"unknown index {name!r}")
-        del self._indexes[name]
+        spec = self._indexes.pop(name)
+        del self._by_table[spec.table][name]
         self._hypothetical.discard(name)
+        self.version += 1
 
     def index(self, name: str) -> IndexSpec:
         """Look up an index by name."""
@@ -104,9 +122,22 @@ class Catalog:
 
     def indexes_on(self, table_name: str) -> List[IndexSpec]:
         """All indexes (real and hypothetical) on a table."""
-        return [
-            spec for spec in self._indexes.values() if spec.table == table_name
-        ]
+        return list(self._by_table.get(table_name, {}).values())
+
+    def relevant(
+        self, configuration: Iterable[str], tables: Sequence[str]
+    ) -> FrozenSet[str]:
+        """The names in ``configuration`` of indexes on one of ``tables``.
+
+        A plan over ``tables`` can use no other index, so this part of a
+        configuration alone decides the plan.  Unknown names are dropped.
+        """
+        indexes = self._indexes
+        return frozenset(
+            name
+            for name in configuration
+            if name in indexes and indexes[name].table in tables
+        )
 
     @property
     def indexes(self) -> List[IndexSpec]:

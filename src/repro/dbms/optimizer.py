@@ -77,13 +77,23 @@ class QueryPlan:
 
 
 class Optimizer:
-    """Configuration-relative cost-based optimizer."""
+    """Configuration-relative cost-based optimizer.
+
+    ``best_access_path`` is memoized on the part of the configuration
+    that indexes the probed table, because a join-order search asks for
+    the same table's path under many configurations that differ only
+    elsewhere.  The memo empties itself whenever the catalog changes.
+    """
 
     def __init__(
         self, catalog: Catalog, cost_model: Optional[CostModel] = None
     ) -> None:
         self.catalog = catalog
         self.cost = cost_model or CostModel()
+        self._paths: Dict[
+            Tuple[Query, str, Optional[str], FrozenSet[str]], AccessPath
+        ] = {}
+        self._paths_version = catalog.version
 
     # ------------------------------------------------------------------
     # Access-path selection
@@ -122,8 +132,17 @@ class Optimizer:
         join_column: Optional[str] = None,
     ) -> AccessPath:
         """Cheapest access path for one table."""
-        paths = self.access_paths(query, table_name, configuration, join_column)
-        return min(paths, key=lambda p: (p.cost, p.index_name or ""))
+        if self._paths_version != self.catalog.version:
+            self._paths.clear()
+            self._paths_version = self.catalog.version
+        relevant = self.catalog.relevant(configuration, (table_name,))
+        key = (query, table_name, join_column, relevant)
+        best = self._paths.get(key)
+        if best is None:
+            paths = self.access_paths(query, table_name, relevant, join_column)
+            best = min(paths, key=lambda p: (p.cost, p.index_name or ""))
+            self._paths[key] = best
+        return best
 
     def _heap_scan(
         self, table: Table, predicates: Sequence[Predicate]

@@ -32,31 +32,39 @@ class AtomicConfiguration:
 
 
 class WhatIfOptimizer:
-    """Optimizer facade for hypothetical-index analysis."""
+    """Optimizer facade for hypothetical-index analysis.
+
+    Plans are memoized per query on the part of the configuration that
+    indexes the query's tables (:meth:`Catalog.relevant`): the advisor
+    and the removal loop re-plan a query under many configurations that
+    differ only on other tables.  The memo empties itself whenever the
+    catalog changes.
+    """
 
     def __init__(self, catalog: Catalog, optimizer: Optional[Optimizer] = None) -> None:
         self.catalog = catalog
         self.optimizer = optimizer or Optimizer(catalog)
         self._cache: Dict[Tuple[str, FrozenSet[str]], QueryPlan] = {}
+        self._cache_version = catalog.version
 
     # ------------------------------------------------------------------
     def plan(self, query: Query, hypothetical: Sequence[str] = ()) -> QueryPlan:
         """Best plan using the real design plus ``hypothetical`` indexes."""
+        if self._cache_version != self.catalog.version:
+            self._cache.clear()
+            self._cache_version = self.catalog.version
         configuration = self.catalog.configuration(extra=hypothetical)
-        key = (query.name, frozenset(configuration))
+        relevant = self.catalog.relevant(configuration, query.tables)
+        key = (query.name, relevant)
         cached = self._cache.get(key)
         if cached is None:
-            cached = self.optimizer.optimize(query, configuration)
+            cached = self.optimizer.optimize(query, relevant)
             self._cache[key] = cached
         return cached
 
     def base_cost(self, query: Query) -> float:
         """Query cost with only the materialized design (``qtime``)."""
         return self.plan(query).cost
-
-    def clear_cache(self) -> None:
-        """Drop memoized plans (after catalog changes)."""
-        self._cache.clear()
 
     # ------------------------------------------------------------------
     def atomic_configurations(
@@ -89,10 +97,11 @@ class WhatIfOptimizer:
         probe_queue: List[FrozenSet[str]] = []
         for _ in range(max_rounds):
             plan = self.plan(query, available)
+            available_set = set(available)
             used = frozenset(
                 name
                 for name in plan.used_indexes
-                if self.catalog.is_hypothetical(name) and name in set(available)
+                if self.catalog.is_hypothetical(name) and name in available_set
             )
             if not used:
                 break

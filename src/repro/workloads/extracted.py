@@ -5,6 +5,12 @@ catalog, generate and select candidate indexes with the advisor, then
 extract the plan/interaction matrix.  Results are memoized in-process
 and (optionally) on disk, since experiments re-use the same instances
 many times.
+
+The canonical configurations load from the matrix files packaged in
+:data:`DATA_DIR`.  ``extract_tpch_instance`` / ``extract_tpcds_instance``
+always re-run the pipeline; ``tools/build_artifacts.py`` writes the
+packaged files with them, and a test checks that re-extraction still
+reproduces those files byte for byte.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ __all__ = [
     "build_instance",
     "build_tpch_instance",
     "build_tpcds_instance",
+    "extract_tpch_instance",
+    "extract_tpcds_instance",
     "DATA_DIR",
 ]
 
@@ -76,10 +84,7 @@ def build_tpch_instance(
         instance = load_instance(cache_path)
         _memo[key] = instance
         return instance
-    catalog = tpch_catalog(scale)
-    instance = build_instance(
-        catalog, tpch_workload(), name="tpch", max_indexes=max_indexes
-    )
+    instance = extract_tpch_instance(scale, max_indexes)
     _memo[key] = instance
     if cache_path is not None:
         save_instance(instance, cache_path)
@@ -103,7 +108,29 @@ def build_tpcds_instance(
         instance = load_instance(cache_path)
         _memo[key] = instance
         return instance
-    catalog = tpcds_catalog(scale)
+    instance = extract_tpcds_instance(scale, n_queries, max_indexes, seed)
+    _memo[key] = instance
+    if cache_path is not None:
+        save_instance(instance, cache_path)
+    return instance
+
+
+def extract_tpch_instance(
+    scale: float = 1.0, max_indexes: Optional[int] = None
+) -> ProblemInstance:
+    """Run the TPC-H pipeline afresh, bypassing memo and artifacts."""
+    return build_instance(
+        tpch_catalog(scale), tpch_workload(), name="tpch", max_indexes=max_indexes
+    )
+
+
+def extract_tpcds_instance(
+    scale: float = 1.0,
+    n_queries: int = 102,
+    max_indexes: Optional[int] = None,
+    seed: int = 2012,
+) -> ProblemInstance:
+    """Run the TPC-DS pipeline afresh, bypassing memo and artifacts."""
     # The paper's design tool was permissive (148 suggested indexes, up
     # to 300 depending on configuration); match that with a near-zero
     # benefit threshold capped at the paper's index count.
@@ -111,13 +138,9 @@ def build_tpcds_instance(
         min_benefit_fraction=1e-6,
         max_indexes=max_indexes if max_indexes is not None else 148,
     )
-    instance = build_instance(
-        catalog,
+    return build_instance(
+        tpcds_catalog(scale),
         tpcds_workload(n_queries=n_queries, seed=seed),
         name="tpcds",
         advisor_config=advisor_config,
     )
-    _memo[key] = instance
-    if cache_path is not None:
-        save_instance(instance, cache_path)
-    return instance

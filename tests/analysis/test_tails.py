@@ -105,6 +105,23 @@ class TestEnumerateTailPatterns:
         total = evaluator.evaluate(full_order)
         assert by_order[(3, 2)] == pytest.approx(total - prefix_obj)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_objectives_match_total_runtime_enumeration(self, seed):
+        instance = small_synthetic(seed=seed, n=6)
+        active = set(range(instance.n_indexes))
+        patterns = enumerate_tail_patterns(
+            instance, ConstraintSet(instance.n_indexes), active, length=3
+        )
+        assert patterns
+        for pattern in patterns:
+            built = active - pattern.tail_set
+            expected = 0.0
+            for index_id in pattern.order:
+                runtime = instance.total_runtime(built)
+                expected += runtime * instance.build_cost(index_id, built)
+                built.add(index_id)
+            assert pattern.objective == expected
+
 
 class TestApplyTails:
     def test_laggard_forced_last_with_seed_constraints(self):

@@ -96,6 +96,29 @@ class TestCatalogIndexes:
         assert {s.name for s in catalog.indexes_on("people")} == {"ix1", "ix2"}
         assert catalog.indexes_on("ghost") == []
 
+    def test_indexes_on_after_drop_and_re_add(self, catalog):
+        catalog.add_index(IndexSpec("ix1", "people", ("city",)))
+        catalog.add_index(IndexSpec("ix2", "people", ("salary",)))
+        catalog.drop_index("ix1")
+        assert [s.name for s in catalog.indexes_on("people")] == ["ix2"]
+        replacement = IndexSpec("ix1", "people", ("id",))
+        catalog.add_index(replacement)
+        assert catalog.indexes_on("people") == [
+            catalog.index("ix2"),
+            replacement,
+        ]
+
+    def test_relevant_keeps_known_indexes_on_given_tables(self, catalog):
+        catalog.add_table(Table("other", [Column("x")], row_count=10))
+        catalog.add_index(IndexSpec("ix_city", "people", ("city",)))
+        catalog.add_index(IndexSpec("ix_x", "other", ("x",)))
+        configuration = {"ix_city", "ix_x", "ghost"}
+        assert catalog.relevant(configuration, ("people",)) == {"ix_city"}
+        assert catalog.relevant(configuration, ("people", "other")) == {
+            "ix_city",
+            "ix_x",
+        }
+
     def test_configuration(self, catalog):
         catalog.add_index(IndexSpec("real", "people", ("city",)))
         catalog.add_index(

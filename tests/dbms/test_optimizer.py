@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.dbms.advisor import generate_candidates
 from repro.dbms.catalog import Catalog
 from repro.dbms.optimizer import CostModel, Optimizer
 from repro.dbms.query import JoinEdge, Predicate, PredicateOp, Query
 from repro.dbms.schema import Column, IndexSpec, Table
+from repro.dbms.whatif import WhatIfOptimizer
+from repro.workloads.tpch import tpch_catalog, tpch_workload
 
 
 @pytest.fixture
@@ -203,6 +208,53 @@ class TestPlans:
         without = optimizer.optimize(grouped, set())
         with_ix = optimizer.optimize(grouped, {"ix_sal_cov"})
         assert with_ix.cost < without.cost
+
+
+class TestMemoizedPlanning:
+    """The access-path and plan memos key on the relevant configuration."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_memoized_plans_match_fresh_optimizers(self, seed):
+        catalog = tpch_catalog()
+        workload = tpch_workload()
+        names = []
+        for spec in generate_candidates(catalog, workload):
+            catalog.add_index(spec, hypothetical=True)
+            names.append(spec.name)
+        rng = random.Random(seed)
+        optimizer = Optimizer(catalog)
+        whatif = WhatIfOptimizer(catalog)
+        for _ in range(6):
+            hypothetical = rng.sample(names, rng.randint(1, len(names) // 3))
+            configuration = catalog.configuration(extra=hypothetical)
+            for query in workload:
+                fresh = Optimizer(catalog).optimize(query, configuration)
+                for memoized in (
+                    optimizer.optimize(query, configuration),
+                    whatif.plan(query, hypothetical),
+                ):
+                    assert memoized.cost == fresh.cost
+                    assert memoized.used_indexes == fresh.used_indexes
+                    assert memoized.join_order == fresh.join_order
+
+    def test_replaced_index_is_replanned(self, catalog):
+        catalog.add_index(
+            IndexSpec("hx", "people", ("city",)), hypothetical=True
+        )
+        optimizer = Optimizer(catalog)
+        whatif = WhatIfOptimizer(catalog)
+        query = city_query()
+        assert optimizer.optimize(query, {"hx"}).used_indexes == {"hx"}
+        assert whatif.plan(query, ["hx"]).used_indexes == {"hx"}
+        # Same name, now an index the query cannot use.
+        catalog.drop_index("hx")
+        catalog.add_index(
+            IndexSpec("hx", "people", ("report_to",)), hypothetical=True
+        )
+        fresh = Optimizer(catalog).optimize(query, {"hx"})
+        assert fresh.used_indexes == frozenset()
+        assert optimizer.optimize(query, {"hx"}) == fresh
+        assert whatif.plan(query, ["hx"]) == fresh
 
 
 class TestCostModel:

@@ -46,7 +46,6 @@ class TestWhatIf:
         catalog.add_index(
             IndexSpec("hx_city", "people", ("city",)), hypothetical=True
         )
-        whatif.clear_cache()
         assert whatif.base_cost(city_salary_query()) == pytest.approx(base)
 
     def test_hypothetical_index_reduces_plan_cost(self, catalog):

@@ -2,14 +2,29 @@
 
 These check the Table-4 shape claims the benchmarks rely on: instance
 sizes within the paper's ballpark and a clear density gap between TPC-H
-and TPC-DS.
+and TPC-DS.  They also check that the packaged matrix files are what
+the pipeline extracts today.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.serialization import save_instance
 from repro.core.validation import check_precedence_feasibility, lint_instance
+from repro.workloads import extracted
+
+
+class TestPackagedArtifacts:
+    @pytest.mark.parametrize("stem", ["tpch", "tpcds"])
+    def test_re_extraction_reproduces_artifact(self, stem, tmp_path):
+        # Regenerate with ``python tools/build_artifacts.py`` when a
+        # deliberate dbms or workload change moves the extraction.
+        extract = getattr(extracted, f"extract_{stem}_instance")
+        fresh = tmp_path / f"{stem}.json"
+        save_instance(extract(), fresh)
+        packaged = extracted.DATA_DIR / f"{stem}.json"
+        assert fresh.read_bytes() == packaged.read_bytes()
 
 
 class TestTPCHInstance:
