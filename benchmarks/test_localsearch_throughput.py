@@ -22,8 +22,9 @@ Three patterns are measured against the checkpoint evaluator:
 A second benchmark pins the vectorized layer (``repro.core.batch``):
 the same tabu neighborhood-scan sequence runs through the scalar and
 numpy kernels of ``EvalEngine.eval_all_swaps``, interleaved scan by
-scan, and the numpy kernel must be >= 3x faster *including* its
-per-base precompute.  Results land in ``BENCH_batch.json``.
+scan, and the median per-scan ratio must be >= 3x *including* the
+numpy kernel's per-base precompute.  Results land in
+``BENCH_batch.json``.
 
 Measured on the reference box: ~2.3x (scan), ~1.3x (random), ~2.2x
 (scattered), ~4x (numpy batch vs scalar scan, n=96).  The asserted
@@ -35,12 +36,12 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.core.batch import HAVE_NUMPY
 from repro.core.engine import EvalEngine
 from repro.core.objective import PrefixCachedEvaluator
 from repro.experiments.instances import tpch_instance
@@ -55,6 +56,13 @@ def _smoke_rounds(full: int) -> int:
     if os.environ.get("REPRO_BENCH_SMOKE") == "1":
         return max(1, full // 4)
     return full
+
+
+def _checkpoint_steps(n: int, first: int, stride: int) -> int:
+    """Steps ``PrefixCachedEvaluator`` replays for a candidate whose
+    first divergence from the base is at ``first``: from the checkpoint
+    at or before it to the end of the order."""
+    return n - (first // stride) * stride
 
 
 def _interleaved_ratio(instance, moves, rounds: int) -> dict:
@@ -84,13 +92,18 @@ def _interleaved_ratio(instance, moves, rounds: int) -> dict:
         assert engine.eval_swap(pos_a, pos_b) == pytest.approx(
             cached.evaluate_swap(pos_a, pos_b), rel=1e-9
         )
+    evaluated = moves * rounds + moves[:25]
     return {
         "engine_seconds": engine_time,
         "prefix_cached_seconds": cached_time,
         "speedup": cached_time / engine_time if engine_time else float("inf"),
         "moves": len(moves) * rounds,
         "replayed_steps": engine.stats.replayed_steps,
-        "baseline_steps": engine.stats.baseline_steps,
+        "checkpoint_steps": sum(
+            _checkpoint_steps(n, min(pos_a, pos_b), cached.stride)
+            for pos_a, pos_b in evaluated
+            if pos_a != pos_b
+        ),
     }
 
 
@@ -120,13 +133,22 @@ def _interleaved_scattered_ratio(instance, orders, rounds: int) -> dict:
         assert engine.evaluate_neighbor(order) == pytest.approx(
             cached.evaluate(order), rel=1e-9
         )
+    evaluated = orders * rounds + orders[:25]
+    n = len(base)
     return {
         "engine_seconds": engine_time,
         "prefix_cached_seconds": cached_time,
         "speedup": cached_time / engine_time if engine_time else float("inf"),
         "moves": len(orders) * rounds,
         "replayed_steps": engine.stats.replayed_steps,
-        "baseline_steps": engine.stats.baseline_steps,
+        "checkpoint_steps": sum(
+            _checkpoint_steps(
+                n,
+                next(k for k in range(n) if order[k] != base[k]),
+                cached.stride,
+            )
+            for order in evaluated
+        ),
     }
 
 
@@ -166,26 +188,31 @@ def test_engine_beats_prefix_cached_on_tabu_scan(benchmark):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(results, indent=1) + "\n")
-    # The engine must replay fewer steps on the scan pattern it was
-    # built for (deterministic), and finish faster.  Wall-clock floors
-    # are conservative vs the measured ~2.3x / ~1.3x / ~2.2x, and
-    # skipped on shared CI runners where scheduler jitter can distort
-    # even an interleaved ratio.
+    # The engine must replay fewer steps than checkpoint replay on the
+    # patterns it was built for (deterministic), and finish faster.
+    # Wall-clock floors are conservative vs the measured ~2.3x / ~1.3x /
+    # ~2.2x, and skipped on shared CI runners where scheduler jitter can
+    # distort even an interleaved ratio.
     scan_stats = results["scan"]
-    assert scan_stats["replayed_steps"] < scan_stats["baseline_steps"]
+    assert scan_stats["replayed_steps"] < scan_stats["checkpoint_steps"]
     scattered_stats = results["scattered"]
-    assert scattered_stats["replayed_steps"] < scattered_stats["baseline_steps"]
+    assert (
+        scattered_stats["replayed_steps"] < scattered_stats["checkpoint_steps"]
+    )
     if os.environ.get("GITHUB_ACTIONS") != "true":
         assert scan_stats["speedup"] >= 1.3, scan_stats
         assert results["random"]["speedup"] >= 0.9, results["random"]
         assert scattered_stats["speedup"] >= 1.2, scattered_stats
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy kernel unavailable")
 def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark):
     """Interleaved A/B: numpy ``eval_all_swaps`` vs the scalar delta
     path on full tabu neighborhood scans, including the per-base
     precompute the numpy kernel pays on every rebase.
+
+    The floor is on the median per-scan ratio: the first numpy scan
+    also pays the one-off ``FlatInstance`` lowering, and a single
+    descheduled scan on a loaded box should not decide the verdict.
 
     Runs on a synthetic instance above the ``auto`` kernel threshold
     (TPC-H's n=32 legitimately stays scalar; TPC-DS takes minutes to
@@ -215,17 +242,17 @@ def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark):
     numpy_engine = EvalEngine(instance, kernel="numpy")
 
     def run():
-        scalar_time = numpy_time = 0.0
+        scalar_times, numpy_times = [], []
         last = (None, None)
         for order in orders:
             t0 = time.perf_counter()
             numpy_engine.set_base(order)
             numpy_objectives, _feasible = numpy_engine.eval_all_swaps()
-            numpy_time += time.perf_counter() - t0
+            numpy_times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             scalar.set_base(order)
             scalar_objectives, _ = scalar.eval_all_swaps()
-            scalar_time += time.perf_counter() - t0
+            scalar_times.append(time.perf_counter() - t0)
             last = (numpy_objectives, scalar_objectives)
         # Parity spot-check so the ratio cannot be won by computing
         # the wrong thing fast.
@@ -236,19 +263,20 @@ def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark):
                     scalar_objectives[pos_a][pos_b], rel=1e-9
                 )
         stats = numpy_engine.stats
+        scalar_time, numpy_time = sum(scalar_times), sum(numpy_times)
+        scan_speedups = [s / v for s, v in zip(scalar_times, numpy_times)]
         return {
             "instance": {"kind": "synthetic", "n_indexes": n, "seed": 9},
             "scans": rounds,
             "moves_per_scan": n * (n - 1) // 2,
             "scalar_seconds": scalar_time,
             "numpy_seconds": numpy_time,
-            "speedup": (
-                scalar_time / numpy_time if numpy_time else float("inf")
-            ),
+            "speedup": scalar_time / numpy_time,
+            "scan_speedups": scan_speedups,
+            "median_scan_speedup": statistics.median(scan_speedups),
             "batch_evals": stats.batch_evals,
             "batch_moves": stats.batch_moves,
             "batch_numpy": stats.batch_numpy,
-            "batch_numba": stats.batch_numba,
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -256,4 +284,4 @@ def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark):
     BATCH_RESULTS_PATH.write_text(json.dumps(results, indent=1) + "\n")
     assert results["batch_numpy"] == rounds
     if os.environ.get("GITHUB_ACTIONS") != "true":
-        assert results["speedup"] >= 3.0, results
+        assert results["median_scan_speedup"] >= 3.0, results

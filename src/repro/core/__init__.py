@@ -7,7 +7,8 @@ Public surface:
   :class:`PrecedenceRule`),
 * objective evaluation (:class:`ObjectiveEvaluator`,
   :class:`PrefixCachedEvaluator`, :class:`DeploymentSchedule`),
-* the shared incremental evaluation backend (:class:`EvalEngine`),
+* the shared incremental evaluation backend (:class:`EvalEngine`) and
+  its one deployment-step primitive (:class:`DeployState`),
 * solver results (:class:`Solution`, :class:`SolveResult`,
   :class:`SolveStatus`),
 * matrix-file I/O (:func:`save_instance`, :func:`load_instance`),
@@ -16,6 +17,7 @@ Public surface:
 
 from repro.core.density import DENSITY_LEVELS, reduce_density
 from repro.core.engine import (
+    DeployState,
     EngineStats,
     EvalEngine,
     PrefixCursor,
@@ -61,6 +63,7 @@ __all__ = [
     "DeploymentStep",
     "ObjectiveEvaluator",
     "PrefixCachedEvaluator",
+    "DeployState",
     "EngineStats",
     "EvalEngine",
     "PrefixCursor",

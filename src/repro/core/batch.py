@@ -34,37 +34,21 @@ Everything here is exact with respect to the scalar replay semantics —
 the property tests assert elementwise agreement with ``eval_swap`` /
 ``eval_relocate`` — up to float summation order.
 
-Kernels: ``numpy`` (this module), ``scalar`` (the engine's delta path,
-looped), and an optional ``numba`` kernel (a jitted per-pair window
-replay) behind a feature flag that degrades to numpy when numba is not
-installed.  ``auto`` picks numpy above :data:`NUMPY_MIN_N` indexes —
-below that the per-row vector-op overhead loses to the scalar path.
+Kernels: ``numpy`` (this module) and ``scalar`` (the engine's delta
+path, looped).  ``auto`` picks numpy from :data:`NUMPY_MIN_N` indexes
+up — below that the per-row vector-op overhead loses to the scalar
+path.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy is a core dependency, but the engine degrades without it
-    import numpy as np
+import numpy as np
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy present in CI
-    np = None
-    HAVE_NUMPY = False
-
-try:  # optional accelerator; never required
-    from numba import njit  # type: ignore
-
-    HAVE_NUMBA = True
-except ImportError:
-    njit = None
-    HAVE_NUMBA = False
+from repro.core.engine import DeployState, EvalEngine
 
 __all__ = [
-    "HAVE_NUMBA",
-    "HAVE_NUMPY",
     "KERNELS",
     "NUMPY_MIN_N",
     "BatchNeighborhood",
@@ -75,7 +59,7 @@ __all__ = [
     "relocate_feasibility_mask",
 ]
 
-KERNELS = ("auto", "scalar", "numpy", "numba")
+KERNELS = ("auto", "scalar", "numpy")
 
 #: ``auto`` switches to the numpy kernel at this instance size; below
 #: it a full scalar scan is already a few milliseconds and the batch
@@ -86,17 +70,12 @@ NUMPY_MIN_N = 48
 def resolve_kernel(requested: Optional[str], n: int) -> str:
     """Map a requested kernel name to the one that will actually run.
 
-    ``auto`` → numpy for large instances, scalar otherwise; ``numba``
-    degrades to numpy when numba is missing; anything degrades to
-    scalar when numpy is missing.
+    ``auto`` (also the default for ``None``) → numpy for large
+    instances, scalar otherwise.
     """
-    kernel = requested or os.environ.get("REPRO_KERNEL") or "auto"
+    kernel = requested or "auto"
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}, expected one of {KERNELS}")
-    if not HAVE_NUMPY:
-        return "scalar"
-    if kernel == "numba" and not HAVE_NUMBA:
-        kernel = "numpy"
     if kernel == "auto":
         kernel = "numpy" if n >= NUMPY_MIN_N else "scalar"
     return kernel
@@ -110,23 +89,23 @@ class FlatInstance:
 
     Layout (all arrays C-contiguous; see ARCHITECTURE.md):
 
-    * ``plan_query[p]``, ``plan_speedup[p]``, ``plan_nmem[p]`` — per-plan
-      query id, speedup, member count.
+    * ``plan_query[p]``, ``plan_speedup[p]`` — per-plan query id and
+      speedup.
     * ``plan_members[p, :]`` — member index ids, padded with ``-1``
       (width = largest plan).
     * ``poi_indptr`` / ``poi_flat`` — CSR plans-of-index incidence.
-    * ``ctime[i]``, ``qweight[q]``, ``base_runtime`` — cost vectors.
+    * ``ctime[i]``, ``qweight[q]`` — cost vectors.
     * ``cs[t, h]`` — dense build-interaction matrix (saving on target
       ``t`` when helper ``h`` is already built; 0 when none).
     * ``itgt`` / ``ihlp`` / ``isav`` — the interaction triples, flat.
+    * ``engine`` — a scalar :class:`EvalEngine` over the same instance,
+      whose :class:`DeployState` replays each base trajectory.
 
     The arrays are position-independent and picklable, so a future
     cross-process portfolio can share one copy per worker.
     """
 
     def __init__(self, instance) -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - exercised only sans numpy
-            raise RuntimeError("FlatInstance requires numpy")
         n = instance.n_indexes
         plans = instance.plans
         self.instance = instance
@@ -138,9 +117,6 @@ class FlatInstance:
         )
         self.plan_speedup = np.array(
             [p.speedup for p in plans], dtype=np.float64
-        )
-        self.plan_nmem = np.array(
-            [len(p.indexes) for p in plans], dtype=np.int32
         )
         width = max((len(p.indexes) for p in plans), default=1)
         members = np.full((self.n_plans, width), -1, dtype=np.int32)
@@ -159,7 +135,6 @@ class FlatInstance:
         self.qweight = np.array(
             [q.weight for q in instance.queries], dtype=np.float64
         )
-        self.base_runtime = float(instance.total_base_runtime)
         self.cs = np.zeros((n, n), dtype=np.float64)
         tgt: List[int] = []
         hlp: List[int] = []
@@ -178,6 +153,7 @@ class FlatInstance:
             sorted({int(self.plan_query[pid]) for pid in poi[i]})
             for i in range(n)
         ]
+        self.engine = EvalEngine(instance)
 
     def plans_of(self, index_id: int):
         """CSR slice of plan ids containing ``index_id``."""
@@ -287,57 +263,36 @@ class _SwapBase:
         self.pos[self.order] = np.arange(n)
         pos = self.pos
 
-        # --- full base replay, recording per-step snapshots ----------
-        R0 = np.empty(n + 1)
+        # --- base trajectory through the deployment primitive ---------
+        # One undo record per step holds the objective and runtime
+        # entering it and the plans that raised a query's best speed-up.
+        state = DeployState(flat.engine)
+        records: List[tuple] = []
+        state.deploy([int(i) for i in self.order], records)
+        self.P = np.array([rec[0] for rec in records] + [state.objective])
+        self.R0 = np.array([rec[1] for rec in records] + [state.runtime])
+        self.objective = state.objective
+        # QB0[k] = per-query best speed-up entering step k; qbest only
+        # rises, so a running max over the recorded raises rebuilds it.
         QB0 = np.zeros((n + 1, m))
-        cost0 = np.empty(n)
-        sx0 = np.zeros(n)
-        argh = np.full(n, -1, dtype=np.int64)
-        Pfx = np.empty(n + 1)
-        qbest = np.zeros(m)
-        missing = flat.plan_nmem.astype(np.int64).tolist()
-        built = bytearray(n)
-        runtime = flat.base_runtime
-        objective = 0.0
         # per-query support-change records: (q -> [(k_active_from, plan)])
         supp_events: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-        cs = flat.cs
-        qweight = flat.qweight
         plan_query = flat.plan_query
         plan_speedup = flat.plan_speedup
-        for k in range(n):
-            R0[k] = runtime
-            QB0[k] = qbest
-            Pfx[k] = objective
-            i = int(self.order[k])
-            best_saving = 0.0
-            best_helper = -1
-            row = cs[i]
-            for h in np.nonzero(row)[0]:
-                if built[h] and row[h] > best_saving:
-                    best_saving = float(row[h])
-                    best_helper = int(h)
-            sx0[k] = best_saving
-            argh[k] = best_helper
-            cost0[k] = flat.ctime[i] - best_saving
-            objective += runtime * cost0[k]
-            built[i] = 1
-            for pid in flat.plans_of(i):
-                pid = int(pid)
-                missing[pid] -= 1
-                if missing[pid] == 0:
-                    q = int(plan_query[pid])
-                    s = float(plan_speedup[pid])
-                    if s > qbest[q]:
-                        runtime -= (s - qbest[q]) * qweight[q]
-                        qbest[q] = s
-                        supp_events[q].append((k + 1, pid))
-        R0[n] = runtime
-        QB0[n] = qbest
-        Pfx[n] = objective
-        self.R0, self.QB0, self.cost0, self.sx0 = R0, QB0, cost0, sx0
-        self.argh, self.P = argh, Pfx
-        self.objective = objective
+        for k, (_, _, raised) in enumerate(records):
+            for pid, _previous in raised:
+                q = int(plan_query[pid])
+                QB0[k + 1, q] = plan_speedup[pid]
+                supp_events[q].append((k + 1, pid))
+        np.maximum.accumulate(QB0, axis=0, out=QB0)
+        # Best build-helper saving per step (first helper id on ties).
+        built_before = pos[None, :] < np.arange(n)[:, None]
+        available = np.where(built_before, flat.cs[self.order], 0.0)
+        sx0 = available.max(axis=1)
+        argh = np.where(sx0 > 0.0, available.argmax(axis=1), -1)
+        cost0 = flat.ctime[self.order] - sx0
+        self.QB0, self.cost0, self.sx0, self.argh = QB0, cost0, sx0, argh
+        qweight = flat.qweight
 
         # --- hs[i, k]: best helper saving for i among positions < k --
         hs = np.zeros((n, n + 1))
@@ -787,106 +742,3 @@ class BatchNeighborhood:
                 - sb.P[src + 1]
             )
         return O
-
-
-# ----------------------------------------------------------------------
-# Optional numba kernel
-# ----------------------------------------------------------------------
-if HAVE_NUMBA:  # pragma: no cover - numba absent in the reference env
-
-    @njit(cache=False)
-    def _numba_swap_kernel(
-        order,
-        plan_query,
-        plan_speedup,
-        plan_nmem,
-        poi_indptr,
-        poi_flat,
-        ctime,
-        qweight,
-        cs,
-        base_runtime,
-        P,
-    ):
-        n = order.shape[0]
-        m = qweight.shape[0]
-        nplans = plan_query.shape[0]
-        out = np.full((n, n), P[n])
-        # prefix state maintained incrementally over a
-        missing0 = plan_nmem.copy()
-        qbest0 = np.zeros(m)
-        built0 = np.zeros(n, dtype=np.uint8)
-        runtime0 = base_runtime
-        objective0 = 0.0
-        for a in range(n - 1):
-            for b in range(a + 1, n):
-                missing = missing0.copy()
-                qbest = qbest0.copy()
-                built = built0.copy()
-                runtime = runtime0
-                objective = objective0
-                for k in range(a, b + 1):
-                    if k == a:
-                        i = order[b]
-                    elif k == b:
-                        i = order[a]
-                    else:
-                        i = order[k]
-                    best = 0.0
-                    for h in range(n):
-                        if built[h] and cs[i, h] > best:
-                            best = cs[i, h]
-                    objective += runtime * (ctime[i] - best)
-                    built[i] = 1
-                    for pi in range(poi_indptr[i], poi_indptr[i + 1]):
-                        pid = poi_flat[pi]
-                        missing[pid] -= 1
-                        if missing[pid] == 0:
-                            q = plan_query[pid]
-                            s = plan_speedup[pid]
-                            if s > qbest[q]:
-                                runtime -= (s - qbest[q]) * qweight[q]
-                                qbest[q] = s
-                    if k >= nplans:  # keep loop structure branch-free-ish
-                        pass
-                objective += P[n] - P[b + 1]
-                out[a, b] = objective
-                out[b, a] = objective
-            # push order[a] onto the shared prefix state
-            i = order[a]
-            best = 0.0
-            for h in range(n):
-                if built0[h] and cs[i, h] > best:
-                    best = cs[i, h]
-            objective0 += runtime0 * (ctime[i] - best)
-            built0[i] = 1
-            for pi in range(poi_indptr[i], poi_indptr[i + 1]):
-                pid = poi_flat[pi]
-                missing0[pid] -= 1
-                if missing0[pid] == 0:
-                    q = plan_query[pid]
-                    s = plan_speedup[pid]
-                    if s > qbest0[q]:
-                        runtime0 -= (s - qbest0[q]) * qweight[q]
-                        qbest0[q] = s
-        return out
-
-
-def numba_swap_neighborhood(flat: FlatInstance, neigh: BatchNeighborhood):
-    """Score all swaps with the jitted per-pair replay kernel."""
-    if not HAVE_NUMBA:  # pragma: no cover
-        raise RuntimeError("numba is not installed")
-    sb = neigh.base
-    return _numba_swap_kernel(
-        sb.order,
-        flat.plan_query.astype(np.int64),
-        flat.plan_speedup,
-        flat.plan_nmem.astype(np.int64),
-        flat.poi_indptr,
-        flat.poi_flat.astype(np.int64),
-        flat.ctime,
-        flat.qweight,
-        flat.cs,
-        flat.base_runtime,
-        sb.P,
-    )

@@ -8,7 +8,9 @@ searches (A*, exhaustive branch-and-bound, CP) each re-derived runtime
 states and carried one of two duplicated suffix bounds.
 
 :class:`EvalEngine` is the single backend that replaces all of that.
-It owns the flattened instance arrays and provides three capabilities:
+Every deployment step it computes goes through one primitive,
+:meth:`DeployState.deploy`, and on top of it the engine provides three
+capabilities:
 
 1. **True delta evaluation** for local-search moves.  Bound to a base
    order via :meth:`set_base`, the engine evaluates a swap / insert /
@@ -36,28 +38,26 @@ It owns the flattened instance arrays and provides three capabilities:
    All tree searches consume this one bound.
 
 Every capability records its work in :class:`EngineStats` so the
-experiment harness can report cache hits and replayed-step savings.
+experiment harness can report replayed steps and cache hits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.instance import ProblemInstance
 from repro.errors import ValidationError
 
 __all__ = [
+    "DeployState",
     "EngineStats",
     "EvalEngine",
     "PrefixCursor",
     "TranspositionTable",
 ]
-
-#: Checkpoint stride of ``PrefixCachedEvaluator`` — used only to account
-#: the baseline "steps a prefix-cached replay would have executed" for
-#: the same move sequence, so the harness can report the delta saving.
-_BASELINE_STRIDE = 16
 
 #: A move whose cursor re-alignment distance exceeds this is a "far
 #: jump": random-pattern moves pay more for re-aligning the shared
@@ -84,31 +84,25 @@ class EngineStats:
             prefix cursor (tree-search bound checks).
         replayed_steps: Deployment steps actually replayed by the delta
             path (cursor re-alignment plus divergence windows).
-        baseline_steps: Steps a ``PrefixCachedEvaluator`` with its
-            default checkpoint stride would have replayed for the same
-            move sequence (checkpoint-to-end per move).
         prefix_steps: Steps replayed for state maintenance — tree-search
-            bound checks and ``set_base`` re-alignment.  Kept separate
-            from ``replayed_steps`` because the baseline excludes the
-            checkpoint evaluator's equivalent ``set_base`` replays too,
-            so the delta-vs-baseline comparison stays apples-to-apples.
+            bound checks and ``set_base`` re-alignment — kept out of
+            ``replayed_steps`` so that counter measures move evaluation
+            alone.
         memo_hits: Built-set runtime memo hits.
         memo_misses: Built-set runtime memo misses.
         tt_states: Distinct built-sets recorded by transposition tables.
         tt_prunes: Search nodes pruned as transposition-dominated.
         batch_evals: Whole-neighborhood scans answered through
-            ``eval_all_swaps`` / ``eval_all_inserts`` (any kernel).
-        batch_moves: Moves scored inside vectorized batch scans (the
-            scalar kernel's moves count as ``delta_evals`` instead).
+            ``eval_all_swaps`` / ``eval_all_inserts`` (either kernel).
+        batch_moves: Moves scored inside numpy batch scans (the scalar
+            kernel's moves count as ``delta_evals`` instead).
         batch_numpy: Batch scans executed by the numpy kernel.
-        batch_numba: Batch scans executed by the numba kernel.
     """
 
     full_evals: int = 0
     delta_evals: int = 0
     prefix_evals: int = 0
     replayed_steps: int = 0
-    baseline_steps: int = 0
     prefix_steps: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
@@ -117,7 +111,6 @@ class EngineStats:
     batch_evals: int = 0
     batch_moves: int = 0
     batch_numpy: int = 0
-    batch_numba: int = 0
 
     @property
     def evaluations(self) -> int:
@@ -131,22 +124,7 @@ class EngineStats:
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for experiment notes and logs."""
-        return {
-            "full_evals": self.full_evals,
-            "delta_evals": self.delta_evals,
-            "prefix_evals": self.prefix_evals,
-            "replayed_steps": self.replayed_steps,
-            "baseline_steps": self.baseline_steps,
-            "prefix_steps": self.prefix_steps,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "tt_states": self.tt_states,
-            "tt_prunes": self.tt_prunes,
-            "batch_evals": self.batch_evals,
-            "batch_moves": self.batch_moves,
-            "batch_numpy": self.batch_numpy,
-            "batch_numba": self.batch_numba,
-        }
+        return dict(vars(self))
 
     def reset(self) -> None:
         """Zero every counter."""
@@ -154,24 +132,104 @@ class EngineStats:
             setattr(self, name, 0)
 
 
-class PrefixCursor:
-    """Mutable deployment state with O(1)-amortized push/pop.
+class DeployState:
+    """Deployment state after some prefix of indexes: the one replay step.
 
-    The cursor holds the exact evaluation state (plan missing-counters,
-    per-query best speed-up, built flags, runtime, objective) after
-    deploying a stack of indexes, with undo records so a step can be
-    popped in O(touched plans).  Successive prefixes that share a common
-    stem cost only the difference — the mechanics behind both the
-    engine's delta evaluation and the CP/B&B prefix bound checks.
+    Holds the per-plan missing-member counters, each query's best
+    completed speed-up, the built flags, the weighted runtime ``R`` and
+    the objective area so far.  :meth:`deploy` is the single place a
+    deployment step (Section 4.1: best build-helper saving, add
+    ``R * C``, retire the plans the index completes) is computed; every
+    replay in the engine, the exhaustive DFS, the batch kernel's base
+    trajectory and the checkpoint baseline goes through it.
     """
 
+    __slots__ = ("engine", "missing", "qbest", "built", "runtime", "objective")
+
     def __init__(self, engine: "EvalEngine") -> None:
-        self._e = engine
-        self._missing = engine.plan_size[:]
-        self._qbest = [0.0] * engine.instance.n_queries
-        self._built = bytearray(engine.n)
+        self.engine = engine
+        self.missing = engine.plan_size[:]
+        self.qbest = [0.0] * engine.instance.n_queries
+        self.built = bytearray(engine.n)
         self.runtime = engine.base_runtime
         self.objective = 0.0
+
+    def copy(self) -> "DeployState":
+        """An independent plain state equal to this one (a trial move's
+        scratch; a cursor's stack and undo records are not copied)."""
+        other = DeployState.__new__(DeployState)
+        other.engine = self.engine
+        other.missing = self.missing[:]
+        other.qbest = self.qbest[:]
+        other.built = bytearray(self.built)
+        other.runtime = self.runtime
+        other.objective = self.objective
+        return other
+
+    def deploy(
+        self, window: Iterable[int], undo: Optional[List[tuple]] = None
+    ) -> float:
+        """Deploy every index of ``window`` in turn; returns the objective.
+
+        With an ``undo`` list, appends one record per step: the exact
+        objective and runtime before it, and the ``(plan_id, previous
+        best)`` of every plan that raised its query's best speed-up, so
+        :meth:`PrefixCursor.pop` restores the floats bit for bit.
+        """
+        engine = self.engine
+        helpers = engine.helpers
+        ctime = engine.ctime
+        plans_of_index = engine.plans_of_index
+        plan_query = engine.plan_query
+        plan_speedup = engine.plan_speedup
+        qweight = engine.qweight
+        missing = self.missing
+        qbest = self.qbest
+        built = self.built
+        runtime = self.runtime
+        objective = self.objective
+        record = undo is not None
+        for index_id in window:
+            best_saving = 0.0
+            for helper, saving in helpers[index_id]:
+                if built[helper] and saving > best_saving:
+                    best_saving = saving
+            if record:
+                raised = []
+                undo.append((objective, runtime, raised))
+            objective += runtime * (ctime[index_id] - best_saving)
+            built[index_id] = 1
+            for plan_id in plans_of_index[index_id]:
+                missing[plan_id] -= 1
+                if missing[plan_id] == 0:
+                    query_id = plan_query[plan_id]
+                    speedup = plan_speedup[plan_id]
+                    if speedup > qbest[query_id]:
+                        runtime -= (speedup - qbest[query_id]) * qweight[
+                            query_id
+                        ]
+                        if record:
+                            raised.append((plan_id, qbest[query_id]))
+                        qbest[query_id] = speedup
+        self.runtime = runtime
+        self.objective = objective
+        return objective
+
+
+class PrefixCursor(DeployState):
+    """A :class:`DeployState` over a stack of indexes, with exact undo.
+
+    Successive prefixes that share a common stem cost only the
+    difference — the mechanics behind the engine's delta evaluation,
+    the CP prefix bound checks and the exhaustive DFS.  A pop restores
+    the exact prior floats (no subtract-back drift), which the
+    transposition tables' dominance checks rely on.
+    """
+
+    __slots__ = ("_stack", "_undo")
+
+    def __init__(self, engine: "EvalEngine") -> None:
+        super().__init__(engine)
         self._stack: List[int] = []
         self._undo: List[tuple] = []
 
@@ -187,48 +245,40 @@ class PrefixCursor:
 
     def push(self, index_id: int) -> None:
         """Deploy ``index_id`` on top of the current prefix."""
-        e = self._e
-        built = self._built
-        best_saving = 0.0
-        for helper, saving in e.helpers[index_id]:
-            if built[helper] and saving > best_saving:
-                best_saving = saving
-        prev_objective = self.objective
-        prev_runtime = self.runtime
-        self.objective += self.runtime * (e.ctime[index_id] - best_saving)
-        built[index_id] = 1
-        runtime_delta = 0.0
-        completed: List[tuple] = []
-        missing = self._missing
-        qbest = self._qbest
-        for plan_id in e.plans_of_index[index_id]:
-            missing[plan_id] -= 1
-            if missing[plan_id] == 0:
-                query_id = e.plan_query[plan_id]
-                speedup = e.plan_speedup[plan_id]
-                if speedup > qbest[query_id]:
-                    runtime_delta += (speedup - qbest[query_id]) * e.qweight[
-                        query_id
-                    ]
-                    completed.append((query_id, qbest[query_id]))
-                    qbest[query_id] = speedup
-        self.runtime -= runtime_delta
+        self.deploy((index_id,), self._undo)
         self._stack.append(index_id)
-        # Undo restores the exact prior floats (no subtract-back drift).
-        self._undo.append((prev_objective, prev_runtime, completed))
 
     def pop(self) -> int:
         """Un-deploy the most recent index; returns its id."""
         index_id = self._stack.pop()
-        prev_objective, prev_runtime, completed = self._undo.pop()
-        for query_id, previous in reversed(completed):
-            self._qbest[query_id] = previous
-        self.runtime = prev_runtime
-        for plan_id in self._e.plans_of_index[index_id]:
-            self._missing[plan_id] += 1
-        self._built[index_id] = 0
-        self.objective = prev_objective
+        objective, runtime, raised = self._undo.pop()
+        plan_query = self.engine.plan_query
+        qbest = self.qbest
+        for plan_id, previous in reversed(raised):
+            qbest[plan_query[plan_id]] = previous
+        missing = self.missing
+        for plan_id in self.engine.plans_of_index[index_id]:
+            missing[plan_id] += 1
+        self.built[index_id] = 0
+        self.runtime = runtime
+        self.objective = objective
         return index_id
+
+    def seek(self, sequence: Sequence[int], depth: int) -> int:
+        """Move to ``sequence[:depth]``; returns the pushes done.
+
+        The cursor must already hold a prefix of ``sequence``; the
+        missing steps are deployed in one window.
+        """
+        stack = self._stack
+        while len(stack) > depth:
+            self.pop()
+        if len(stack) == depth:
+            return 0
+        window = sequence[len(stack) : depth]
+        self.deploy(window, self._undo)
+        stack.extend(window)
+        return len(window)
 
     def align(self, prefix: Sequence[int]) -> int:
         """Make the cursor state equal ``prefix``; returns pushes done."""
@@ -239,11 +289,11 @@ class PrefixCursor:
             common += 1
         while len(stack) > common:
             self.pop()
-        pushes = 0
-        for index_id in prefix[common:]:
-            self.push(index_id)
-            pushes += 1
-        return pushes
+        return self.seek(prefix, len(prefix))
+
+    def prefix_objectives(self) -> List[float]:
+        """Objective after each of the first ``k`` steps, ``k = 0..depth``."""
+        return [record[0] for record in self._undo] + [self.objective]
 
 
 class TranspositionTable:
@@ -286,12 +336,10 @@ class EvalEngine:
 
     ``kernel`` selects how whole-neighborhood scans are computed:
     ``"scalar"`` (loop of delta evaluations), ``"numpy"`` (the
-    vectorized kernels in :mod:`repro.core.batch`), ``"numba"`` (jitted
-    per-pair replay; silently degrades to numpy when numba is missing),
-    or ``"auto"`` (numpy above ``batch.NUMPY_MIN_N`` indexes, scalar
-    below).  The default reads the ``REPRO_KERNEL`` environment
-    variable, falling back to ``"auto"``.  Single-move methods
-    (``eval_swap`` etc.) always use the scalar delta path.
+    vectorized kernels in :mod:`repro.core.batch`), or ``"auto"`` (the
+    default: numpy from ``batch.NUMPY_MIN_N`` indexes up, scalar
+    below).  Single-move methods (``eval_swap`` etc.) always use the
+    scalar delta path.
     """
 
     def __init__(
@@ -331,7 +379,7 @@ class EvalEngine:
         self._base_gen = 0
         self._batch_gen = -1
         # Base-trajectory snapshots for far-jump moves (lazy, per base).
-        self._snapshots: Optional[List[tuple]] = None
+        self._snapshots: Optional[List[DeployState]] = None
         self._far_jumps = 0
 
     # ------------------------------------------------------------------
@@ -348,46 +396,21 @@ class EvalEngine:
         """Objective of a complete order (full replay)."""
         self.check_order(order)
         self.stats.full_evals += 1
-        objective, _, _ = self._replay(order)
-        return objective
+        return DeployState(self).deploy(order)
 
     def evaluate_prefix(
         self, prefix: Sequence[int]
     ) -> Tuple[float, float, float]:
         """``(objective, runtime, elapsed)`` after a partial order."""
         self.stats.prefix_evals += 1
-        return self._replay(prefix)
-
-    def _replay(self, seq: Sequence[int]) -> Tuple[float, float, float]:
-        missing = self.plan_size[:]
-        qbest = [0.0] * self.instance.n_queries
-        built = bytearray(self.n)
-        runtime = self.base_runtime
-        objective = 0.0
+        state = DeployState(self)
+        state.deploy(prefix)
         elapsed = 0.0
-        plan_query = self.plan_query
-        plan_speedup = self.plan_speedup
-        qweight = self.qweight
-        for index_id in seq:
-            best_saving = 0.0
-            for helper, saving in self.helpers[index_id]:
-                if built[helper] and saving > best_saving:
-                    best_saving = saving
-            actual = self.ctime[index_id] - best_saving
-            objective += runtime * actual
-            elapsed += actual
-            built[index_id] = 1
-            for plan_id in self.plans_of_index[index_id]:
-                missing[plan_id] -= 1
-                if missing[plan_id] == 0:
-                    query_id = plan_query[plan_id]
-                    speedup = plan_speedup[plan_id]
-                    if speedup > qbest[query_id]:
-                        runtime -= (speedup - qbest[query_id]) * qweight[
-                            query_id
-                        ]
-                        qbest[query_id] = speedup
-        return objective, runtime, elapsed
+        mask = 0
+        for index_id in prefix:
+            elapsed += self.build_cost_in(index_id, mask)
+            mask |= 1 << index_id
+        return state.objective, state.runtime, elapsed
 
     def prefix_state(self, prefix: Sequence[int]) -> Tuple[float, float]:
         """``(objective, runtime)`` of a prefix via the shared cursor.
@@ -430,17 +453,12 @@ class EvalEngine:
         self.stats.prefix_steps += cursor.align(self._base)
         # Per-position objective prefix sums enable the suffix early-exit:
         # _base_obj_prefix[k] is the objective after the first k steps.
-        # The cursor's undo records hold the pre-push objective of every
-        # base step, which is exactly that prefix sum.
-        undo = cursor._undo
-        prefix = [undo[k][0] for k in range(self.n)]
-        prefix.append(cursor.objective)
-        self._base_obj_prefix = prefix
+        self._base_obj_prefix = cursor.prefix_objectives()
         self.stats.full_evals += 1
         self._base_gen += 1
         self._snapshots = None
         self._far_jumps = 0
-        return prefix[-1]
+        return self._base_obj_prefix[-1]
 
     def eval_swap(self, pos_a: int, pos_b: int) -> float:
         """Objective of the base with positions ``pos_a``/``pos_b`` swapped."""
@@ -541,20 +559,16 @@ class EvalEngine:
             # Not yet worth snapshotting: one contiguous replay.
             return self._eval_window(first, last, window)
         prefix = self._base_obj_prefix
+        snapshots = self._snapshots
         objective = prefix[n]
         replayed = 0
         for chunk_first, chunk_last in chunks:
-            chunk_window = list(order[chunk_first : chunk_last + 1])
-            chunk_objective = self._replay_from_snapshot(
-                chunk_first, chunk_window
-            )
-            objective += chunk_objective - prefix[chunk_last + 1]
+            chunk_window = order[chunk_first : chunk_last + 1]
+            scratch = snapshots[chunk_first].copy()
+            objective += scratch.deploy(chunk_window) - prefix[chunk_last + 1]
             replayed += len(chunk_window)
-        stats = self.stats
-        stats.delta_evals += 1
-        stats.replayed_steps += replayed
-        checkpoint = (first // _BASELINE_STRIDE) * _BASELINE_STRIDE
-        stats.baseline_steps += n - checkpoint
+        self.stats.delta_evals += 1
+        self.stats.replayed_steps += replayed
         return objective
 
     # ------------------------------------------------------------------
@@ -591,30 +605,11 @@ class EvalEngine:
 
         base = self._require_base()
         n = self.n
-        kernel = self.batch_kernel()
         self.stats.batch_evals += 1
-        if kernel == "scalar":
-            if batch.HAVE_NUMPY:
-                import numpy as np
-
-                objectives = np.full((n, n), float("inf"))
-                np.fill_diagonal(objectives, self.base_objective)
-                feasible = batch.swap_feasibility_mask(
-                    base, constraints, swap_feasible
-                )
-            else:  # pragma: no cover - numpy present in CI
-                objectives = [
-                    [float("inf")] * n for _ in range(n)
-                ]
-                for k in range(n):
-                    objectives[k][k] = self.base_objective
-                feasible = [
-                    [
-                        swap_feasible(base, a, b, constraints)
-                        for b in range(n)
-                    ]
-                    for a in range(n)
-                ]
+        feasible = batch.swap_feasibility_mask(base, constraints, swap_feasible)
+        if self.batch_kernel() == "scalar":
+            objectives = np.full((n, n), float("inf"))
+            np.fill_diagonal(objectives, self.base_objective)
             for pos_a in range(n - 1):
                 for pos_b in range(pos_a + 1, n):
                     if feasible[pos_a][pos_b]:
@@ -622,14 +617,8 @@ class EvalEngine:
                         objectives[pos_a][pos_b] = value
                         objectives[pos_b][pos_a] = value
             return objectives, feasible
-        neigh = self._batch_neighborhood()
-        if kernel == "numba":
-            objectives = batch.numba_swap_neighborhood(self._flat, neigh)
-            self.stats.batch_numba += 1
-        else:
-            objectives = neigh.score_swap_neighborhood()
-            self.stats.batch_numpy += 1
-        feasible = batch.swap_feasibility_mask(base, constraints, swap_feasible)
+        objectives = self._batch_neighborhood().score_swap_neighborhood()
+        self.stats.batch_numpy += 1
         self.stats.batch_moves += n * (n - 1) // 2
         return objectives, feasible
 
@@ -652,34 +641,20 @@ class EvalEngine:
             raise ValidationError(
                 f"index {index_id} is not in the base order"
             ) from None
-        kernel = self.batch_kernel()
         self.stats.batch_evals += 1
-        if kernel == "scalar":
-            if batch.HAVE_NUMPY:
-                import numpy as np
-
-                objectives = np.full(n, float("inf"))
-                feasible = batch.relocate_feasibility_mask(
-                    base, src, constraints, relocate_feasible
-                )
-            else:  # pragma: no cover - numpy present in CI
-                objectives = [float("inf")] * n
-                feasible = [
-                    relocate_feasible(base, src, dst, constraints)
-                    for dst in range(n)
-                ]
+        feasible = batch.relocate_feasibility_mask(
+            base, src, constraints, relocate_feasible
+        )
+        if self.batch_kernel() == "scalar":
+            objectives = np.full(n, float("inf"))
             for dst in range(n):
                 if feasible[dst]:
                     objectives[dst] = self.eval_relocate(src, dst)
             return objectives, feasible
-        neigh = self._batch_neighborhood()
-        # No jitted insert kernel: the numpy one is already a handful of
-        # vector ops per call, so "numba" serves inserts through numpy.
-        objectives = neigh.score_insert_neighborhood(index_id)
-        self.stats.batch_numpy += 1
-        feasible = batch.relocate_feasibility_mask(
-            base, src, constraints, relocate_feasible
+        objectives = self._batch_neighborhood().score_insert_neighborhood(
+            index_id
         )
+        self.stats.batch_numpy += 1
         self.stats.batch_moves += n
         return objectives, feasible
 
@@ -702,62 +677,12 @@ class EvalEngine:
         window replay starts at its exact position with zero cursor
         re-alignment.
         """
-        base = self._base
-        missing = self.plan_size[:]
-        qbest = [0.0] * self.instance.n_queries
-        built = bytearray(self.n)
-        runtime = self.base_runtime
-        snapshots: List[tuple] = []
-        for index_id in base:
-            snapshots.append((missing[:], qbest[:], bytes(built), runtime))
-            best_saving = 0.0
-            for helper, saving in self.helpers[index_id]:
-                if built[helper] and saving > best_saving:
-                    best_saving = saving
-            built[index_id] = 1
-            for plan_id in self.plans_of_index[index_id]:
-                missing[plan_id] -= 1
-                if missing[plan_id] == 0:
-                    query_id = self.plan_query[plan_id]
-                    speedup = self.plan_speedup[plan_id]
-                    if speedup > qbest[query_id]:
-                        runtime -= (speedup - qbest[query_id]) * self.qweight[
-                            query_id
-                        ]
-                        qbest[query_id] = speedup
+        state = DeployState(self)
+        snapshots: List[DeployState] = []
+        for index_id in self._base:
+            snapshots.append(state.copy())
+            state.deploy((index_id,))
         self._snapshots = snapshots
-
-    def _replay_from_snapshot(self, first: int, window: List[int]) -> float:
-        """Objective after replaying ``window`` from the ``first`` snapshot."""
-        missing, qbest, built_bytes, runtime = self._snapshots[first]
-        missing = missing[:]
-        qbest = qbest[:]
-        built = bytearray(built_bytes)
-        objective = self._base_obj_prefix[first]
-        plan_query = self.plan_query
-        plan_speedup = self.plan_speedup
-        plans_of_index = self.plans_of_index
-        helpers = self.helpers
-        ctime = self.ctime
-        qweight = self.qweight
-        for index_id in window:
-            best_saving = 0.0
-            for helper, saving in helpers[index_id]:
-                if built[helper] and saving > best_saving:
-                    best_saving = saving
-            objective += runtime * (ctime[index_id] - best_saving)
-            built[index_id] = 1
-            for plan_id in plans_of_index[index_id]:
-                missing[plan_id] -= 1
-                if missing[plan_id] == 0:
-                    query_id = plan_query[plan_id]
-                    speedup = plan_speedup[plan_id]
-                    if speedup > qbest[query_id]:
-                        runtime -= (speedup - qbest[query_id]) * qweight[
-                            query_id
-                        ]
-                        qbest[query_id] = speedup
-        return objective
 
     def _eval_window(self, first: int, last: int, window: List[int]) -> float:
         """Replay ``window`` over base positions ``first..last`` inclusive.
@@ -769,80 +694,28 @@ class EvalEngine:
 
         The base cursor is aligned (amortized: a scan of moves sharing a
         prefix re-aligns by single steps) and the window itself replays
-        on throwaway scratch state, so a move evaluation allocates no
-        undo records and never pops back.  Moves far from the cursor
+        on a scratch copy of its state, so a move evaluation allocates
+        no undo records and never pops back.  Moves far from the cursor
         (random-pattern probes) instead start from a per-position base
         snapshot, built lazily after :data:`_SNAPSHOT_AFTER` far jumps,
         skipping the re-alignment entirely.
         """
-        base = self._base
         cursor = self._base_cursor
-        replayed = 0
-        distance = (
-            cursor.depth - first if cursor.depth > first else first - cursor.depth
-        )
-        if distance > _SNAPSHOT_STRIDE and self._snapshots is None:
+        far = abs(cursor.depth - first) > _SNAPSHOT_STRIDE
+        if far and self._snapshots is None:
             self._far_jumps += 1
             if self._far_jumps > _SNAPSHOT_AFTER:
                 self._build_snapshots()
-        if distance > _SNAPSHOT_STRIDE and self._snapshots is not None:
-            objective = self._replay_from_snapshot(first, window)
-            objective += (
-                self._base_obj_prefix[self.n] - self._base_obj_prefix[last + 1]
-            )
-            stats = self.stats
-            stats.delta_evals += 1
-            stats.replayed_steps += len(window)
-            checkpoint = (first // _BASELINE_STRIDE) * _BASELINE_STRIDE
-            stats.baseline_steps += self.n - checkpoint
-            return objective
-        while cursor.depth > first:
-            cursor.pop()
-        while cursor.depth < first:
-            cursor.push(base[cursor.depth])
-            replayed += 1
-        # Scratch replay of the window from the cursor's state.
-        missing = cursor._missing[:]
-        qbest = cursor._qbest[:]
-        built = bytearray(cursor._built)
-        runtime = cursor.runtime
-        objective = cursor.objective
-        plan_query = self.plan_query
-        plan_speedup = self.plan_speedup
-        plans_of_index = self.plans_of_index
-        helpers = self.helpers
-        ctime = self.ctime
-        qweight = self.qweight
-        for index_id in window:
-            best_saving = 0.0
-            for helper, saving in helpers[index_id]:
-                if built[helper] and saving > best_saving:
-                    best_saving = saving
-            objective += runtime * (ctime[index_id] - best_saving)
-            built[index_id] = 1
-            for plan_id in plans_of_index[index_id]:
-                missing[plan_id] -= 1
-                if missing[plan_id] == 0:
-                    query_id = plan_query[plan_id]
-                    speedup = plan_speedup[plan_id]
-                    if speedup > qbest[query_id]:
-                        runtime -= (speedup - qbest[query_id]) * qweight[
-                            query_id
-                        ]
-                        qbest[query_id] = speedup
-        replayed += len(window)
-        objective += (
-            self._base_obj_prefix[self.n] - self._base_obj_prefix[last + 1]
-        )
-        stats = self.stats
-        stats.delta_evals += 1
-        stats.replayed_steps += replayed
-        # What PrefixCachedEvaluator(stride=16) would have replayed for
-        # the same candidate: nearest checkpoint at/before the first
-        # divergence, then the entire tail.
-        checkpoint = (first // _BASELINE_STRIDE) * _BASELINE_STRIDE
-        stats.baseline_steps += self.n - checkpoint
-        return objective
+        if far and self._snapshots is not None:
+            objective = self._snapshots[first].copy().deploy(window)
+            replayed = len(window)
+        else:
+            replayed = cursor.seek(self._base, first) + len(window)
+            objective = cursor.copy().deploy(window)
+        prefix = self._base_obj_prefix
+        self.stats.delta_evals += 1
+        self.stats.replayed_steps += replayed
+        return objective + (prefix[self.n] - prefix[last + 1])
 
     # ------------------------------------------------------------------
     # Built-set memo layer

@@ -19,13 +19,15 @@ Two evaluators are provided:
 * :class:`PrefixCachedEvaluator` — bound to a *base order*, it snapshots
   evaluation state at regular checkpoints so that the objective of a
   nearby order (e.g. after a swap) is computed by replaying only the
-  changed suffix.
+  changed suffix.  It is kept as the baseline the throughput benchmark
+  measures the engine against.
 
 The production hot path of every solver is
 :class:`repro.core.engine.EvalEngine`, which additionally early-exits
-once a move's divergence window closes and memoizes built-set states;
-the evaluators here remain the independent reference implementation the
-parity tests pin the engine against.
+once a move's divergence window closes and memoizes built-set states.
+:class:`ObjectiveEvaluator` keeps its own deployment loop, independent
+of the engine's, because it is the reference the parity tests pin the
+engine against.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.engine import DeployState, EvalEngine
 from repro.core.instance import ProblemInstance
 from repro.errors import ValidationError
 
@@ -173,34 +176,7 @@ class ObjectiveEvaluator:
     def evaluate(self, order: Sequence[int]) -> float:
         """Return the objective value of a complete deployment order."""
         self.check_order(order)
-        return self._evaluate_raw(order)
-
-    def _evaluate_raw(self, order: Sequence[int]) -> float:
-        missing = self._plan_size[:]
-        qbest = [0.0] * self.instance.n_queries
-        built = bytearray(self._n)
-        runtime = self._r0
-        objective = 0.0
-        plan_query = self._plan_query
-        plan_speedup = self._plan_speedup
-        qweight = self._qweight
-        for index_id in order:
-            cost = self._ctime[index_id]
-            best_saving = 0.0
-            for helper, saving in self._helpers[index_id]:
-                if built[helper] and saving > best_saving:
-                    best_saving = saving
-            objective += runtime * (cost - best_saving)
-            built[index_id] = 1
-            for plan_id in self._plans_of_index[index_id]:
-                missing[plan_id] -= 1
-                if missing[plan_id] == 0:
-                    query_id = plan_query[plan_id]
-                    speedup = plan_speedup[plan_id]
-                    if speedup > qbest[query_id]:
-                        runtime -= (speedup - qbest[query_id]) * qweight[query_id]
-                        qbest[query_id] = speedup
-        return objective
+        return self._replay(order)[0]
 
     def evaluate_prefix(
         self, prefix: Sequence[int]
@@ -211,91 +187,81 @@ class ObjectiveEvaluator:
         — the ingredients exact solvers use for branch-and-bound on
         partial sequences.
         """
-        missing = self._plan_size[:]
-        qbest = [0.0] * self.instance.n_queries
-        built = bytearray(self._n)
-        runtime = self._r0
-        objective = 0.0
-        elapsed = 0.0
-        for index_id in prefix:
-            cost = self._ctime[index_id]
-            best_saving = 0.0
-            for helper, saving in self._helpers[index_id]:
-                if built[helper] and saving > best_saving:
-                    best_saving = saving
-            actual = cost - best_saving
-            objective += runtime * actual
-            elapsed += actual
-            built[index_id] = 1
-            for plan_id in self._plans_of_index[index_id]:
-                missing[plan_id] -= 1
-                if missing[plan_id] == 0:
-                    query_id = self._plan_query[plan_id]
-                    speedup = self._plan_speedup[plan_id]
-                    if speedup > qbest[query_id]:
-                        runtime -= (speedup - qbest[query_id]) * self._qweight[
-                            query_id
-                        ]
-                        qbest[query_id] = speedup
-        return objective, runtime, elapsed
+        return self._replay(prefix)
 
     def schedule(self, order: Sequence[int]) -> DeploymentSchedule:
         """Evaluate ``order`` and return the full deployment schedule."""
         self.check_order(order)
+        steps: List[DeploymentStep] = []
+        objective, _, _ = self._replay(order, steps)
+        return DeploymentSchedule(tuple(order), tuple(steps), objective)
+
+    def _replay(
+        self,
+        sequence: Sequence[int],
+        steps: Optional[List[DeploymentStep]] = None,
+    ) -> Tuple[float, float, float]:
+        """The reference deployment loop over ``sequence``.
+
+        Returns ``(objective, runtime, elapsed)``; with a ``steps`` list,
+        also appends one :class:`DeploymentStep` per deployed index.
+        """
         missing = self._plan_size[:]
         qbest = [0.0] * self.instance.n_queries
         built = bytearray(self._n)
         runtime = self._r0
         objective = 0.0
         elapsed = 0.0
-        steps: List[DeploymentStep] = []
-        for position, index_id in enumerate(order, start=1):
-            cost = self._ctime[index_id]
+        plan_query = self._plan_query
+        plan_speedup = self._plan_speedup
+        qweight = self._qweight
+        for position, index_id in enumerate(sequence, start=1):
             best_saving = 0.0
             best_helper: Optional[int] = None
             for helper, saving in self._helpers[index_id]:
                 if built[helper] and saving > best_saving:
                     best_saving = saving
                     best_helper = helper
-            actual = cost - best_saving
+            actual = self._ctime[index_id] - best_saving
             runtime_before = runtime
             objective += runtime * actual
             built[index_id] = 1
             for plan_id in self._plans_of_index[index_id]:
                 missing[plan_id] -= 1
                 if missing[plan_id] == 0:
-                    query_id = self._plan_query[plan_id]
-                    speedup = self._plan_speedup[plan_id]
+                    query_id = plan_query[plan_id]
+                    speedup = plan_speedup[plan_id]
                     if speedup > qbest[query_id]:
-                        runtime -= (speedup - qbest[query_id]) * self._qweight[
-                            query_id
-                        ]
+                        runtime -= (speedup - qbest[query_id]) * qweight[query_id]
                         qbest[query_id] = speedup
-            steps.append(
-                DeploymentStep(
-                    position=position,
-                    index_id=index_id,
-                    start_time=elapsed,
-                    build_cost=actual,
-                    saving=best_saving,
-                    helper_id=best_helper,
-                    runtime_before=runtime_before,
-                    runtime_after=runtime,
+            if steps is not None:
+                steps.append(
+                    DeploymentStep(
+                        position=position,
+                        index_id=index_id,
+                        start_time=elapsed,
+                        build_cost=actual,
+                        saving=best_saving,
+                        helper_id=best_helper,
+                        runtime_before=runtime_before,
+                        runtime_after=runtime,
+                    )
                 )
-            )
             elapsed += actual
-        return DeploymentSchedule(tuple(order), tuple(steps), objective)
+        return objective, runtime, elapsed
 
 
 class PrefixCachedEvaluator:
-    """Evaluator optimized for local-search move evaluation.
+    """Checkpoint-replay evaluator: the engine's A/B baseline.
 
     Bound to a *base order* via :meth:`set_base`, it stores state
     snapshots every ``checkpoint_stride`` steps.  Evaluating a candidate
     order that agrees with the base on a prefix restores the nearest
-    snapshot at or before the first divergence and replays only the
-    suffix — for a random swap this roughly halves the work, and for the
-    pair scans of TS-BSwap (sorted by first position) it does far better.
+    snapshot at or before the first divergence and replays the whole
+    rest of the order.  The throughput benchmark measures
+    :class:`~repro.core.engine.EvalEngine`'s divergence-window early
+    exit against it; both replay through the same
+    :class:`~repro.core.engine.DeployState` step.
     """
 
     def __init__(
@@ -305,10 +271,10 @@ class PrefixCachedEvaluator:
             raise ValidationError("checkpoint_stride must be >= 1")
         self.instance = instance
         self.stride = checkpoint_stride
-        self._full = ObjectiveEvaluator(instance)
+        self._engine = EvalEngine(instance)
         self._n = instance.n_indexes
         self._base: Optional[Tuple[int, ...]] = None
-        self._snapshots: List[tuple] = []
+        self._snapshots: List[DeployState] = []
         self.evaluations = 0
 
     @property
@@ -318,47 +284,23 @@ class PrefixCachedEvaluator:
 
     def set_base(self, order: Sequence[int]) -> float:
         """Adopt ``order`` as the base; returns its objective."""
-        self._full.check_order(order)
+        self._engine.check_order(order)
         self._base = tuple(order)
-        self._snapshots = []
-        ev = self._full
-        missing = ev._plan_size[:]
-        qbest = [0.0] * self.instance.n_queries
-        built = bytearray(self._n)
-        runtime = ev._r0
-        objective = 0.0
         # Snapshot *before* step k for k = 0, stride, 2*stride, ...
-        for position, index_id in enumerate(self._base):
-            if position % self.stride == 0:
-                self._snapshots.append(
-                    (position, missing[:], qbest[:], bytes(built), runtime, objective)
-                )
-            cost = ev._ctime[index_id]
-            best_saving = 0.0
-            for helper, saving in ev._helpers[index_id]:
-                if built[helper] and saving > best_saving:
-                    best_saving = saving
-            objective += runtime * (cost - best_saving)
-            built[index_id] = 1
-            for plan_id in ev._plans_of_index[index_id]:
-                missing[plan_id] -= 1
-                if missing[plan_id] == 0:
-                    query_id = ev._plan_query[plan_id]
-                    speedup = ev._plan_speedup[plan_id]
-                    if speedup > qbest[query_id]:
-                        runtime -= (speedup - qbest[query_id]) * ev._qweight[
-                            query_id
-                        ]
-                        qbest[query_id] = speedup
-        self._base_objective = objective
+        self._snapshots = []
+        state = DeployState(self._engine)
+        for start in range(0, self._n, self.stride):
+            self._snapshots.append(state.copy())
+            state.deploy(self._base[start : start + self.stride])
+        self._base_objective = state.objective
         self.evaluations += 1
-        return objective
+        return state.objective
 
     def evaluate(self, order: Sequence[int]) -> float:
         """Evaluate any permutation, reusing base-prefix snapshots."""
         self.evaluations += 1
         if self._base is None:
-            return self._full.evaluate(order)
+            return self._engine.evaluate(order)
         base = self._base
         n = self._n
         if len(order) != n:
@@ -371,32 +313,8 @@ class PrefixCachedEvaluator:
         if diverge == n:
             return self._base_objective
         snap_idx = min(diverge // self.stride, len(self._snapshots) - 1)
-        position, missing, qbest, built_bytes, runtime, objective = self._snapshots[
-            snap_idx
-        ]
-        missing = missing[:]
-        qbest = qbest[:]
-        built = bytearray(built_bytes)
-        ev = self._full
-        for index_id in order[position:]:
-            cost = ev._ctime[index_id]
-            best_saving = 0.0
-            for helper, saving in ev._helpers[index_id]:
-                if built[helper] and saving > best_saving:
-                    best_saving = saving
-            objective += runtime * (cost - best_saving)
-            built[index_id] = 1
-            for plan_id in ev._plans_of_index[index_id]:
-                missing[plan_id] -= 1
-                if missing[plan_id] == 0:
-                    query_id = ev._plan_query[plan_id]
-                    speedup = ev._plan_speedup[plan_id]
-                    if speedup > qbest[query_id]:
-                        runtime -= (speedup - qbest[query_id]) * ev._qweight[
-                            query_id
-                        ]
-                        qbest[query_id] = speedup
-        return objective
+        state = self._snapshots[snap_idx].copy()
+        return state.deploy(order[snap_idx * self.stride :])
 
     def evaluate_swap(self, pos_a: int, pos_b: int) -> float:
         """Objective of the base order with positions ``pos_a``/``pos_b`` swapped."""

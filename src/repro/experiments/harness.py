@@ -47,37 +47,25 @@ def make_solver(name: str, **kwargs):
 def engine_stats_note(label: str, stats: Optional[Dict[str, int]]) -> Optional[str]:
     """Render one solver's :class:`EngineStats` dict as a table note.
 
-    The fig11/fig12 benchmarks parse this format to assert the delta
-    path replays strictly fewer steps than a checkpoint evaluator
-    would; keep the ``replayed N steps vs M prefix-cache baseline``
-    phrasing stable.
+    The fig11 benchmark parses the ``replayed N steps`` phrase to check
+    the tabu solvers ran on the delta path; keep it stable.
     """
     if not stats:
         return None
-    parts = [f"engine[{label}]:"]
-    if stats.get("batch_evals"):
-        kernels = []
-        if stats.get("batch_numba"):
-            kernels.append(f"numba x{stats['batch_numba']}")
-        if stats.get("batch_numpy"):
-            kernels.append(f"numpy x{stats['batch_numpy']}")
-        kernel_note = ", ".join(kernels) if kernels else "scalar"
+    parts = []
+    numpy_scans = stats.get("batch_numpy", 0)
+    scalar_scans = stats.get("batch_evals", 0) - numpy_scans
+    if numpy_scans:
         parts.append(
-            f"{stats['batch_evals']} batch scans "
-            f"({stats.get('batch_moves', 0)} moves, {kernel_note})"
+            f"{numpy_scans} numpy batch scans "
+            f"({stats.get('batch_moves', 0)} moves)"
         )
+    if scalar_scans:
+        parts.append(f"{scalar_scans} scalar neighborhood scans")
     if stats.get("delta_evals"):
-        saved = stats["baseline_steps"] - stats["replayed_steps"]
-        pct = (
-            100.0 * saved / stats["baseline_steps"]
-            if stats.get("baseline_steps")
-            else 0.0
-        )
         parts.append(
             f"{stats['delta_evals']} delta evals, "
-            f"replayed {stats['replayed_steps']} steps vs "
-            f"{stats['baseline_steps']} prefix-cache baseline "
-            f"({pct:.0f}% saved)"
+            f"replayed {stats.get('replayed_steps', 0)} steps"
         )
     else:
         parts.append(f"{stats.get('full_evals', 0)} full evals")
@@ -87,7 +75,7 @@ def engine_stats_note(label: str, stats: Optional[Dict[str, int]]) -> Optional[s
         parts.append(f"memo {memo_hits}/{memo_hits + memo_misses} hits")
     if stats.get("tt_prunes"):
         parts.append(f"{stats['tt_prunes']} transposition prunes")
-    return " ".join(parts)
+    return f"engine[{label}]: " + ", ".join(parts)
 
 
 def format_cell(value: Any) -> str:

@@ -67,7 +67,7 @@ class _Lattice:
     """Shared machinery for subset-lattice search.
 
     Runtime states and the admissible remaining-area bound come from the
-    shared :class:`EvalEngine`, so the built-set memo survives across
+    solver's :class:`EvalEngine`, so the built-set memo survives across
     searches that reuse one engine.
     """
 
@@ -75,11 +75,11 @@ class _Lattice:
         self,
         instance: ProblemInstance,
         constraints: Optional[ConstraintSet],
-        engine: Optional[EvalEngine] = None,
+        engine: EvalEngine,
     ) -> None:
         self.instance = instance
         self.constraints = constraints
-        self.engine = engine if engine is not None else EvalEngine(instance)
+        self.engine = engine
         self.n = instance.n_indexes
         self.units = _deployment_units(self.n, constraints)
         self.unit_masks = [
@@ -173,7 +173,7 @@ class SubsetDPSolver(Solver):
                 f"instance has {instance.n_indexes}"
             )
         start = time.perf_counter()
-        lattice = _Lattice(instance, constraints)
+        lattice = _Lattice(instance, constraints, self._engine(instance))
         best: Dict[int, float] = {0: 0.0}
         parents: Dict[int, Tuple[int, int]] = {}
         # Process masks in strictly increasing population count: every
@@ -247,7 +247,7 @@ class AStarSolver(Solver):
         budget: Optional[Budget] = None,
     ) -> SolveResult:
         start = time.perf_counter()
-        lattice = _Lattice(instance, constraints)
+        lattice = _Lattice(instance, constraints, self._engine(instance))
         g_score: Dict[int, float] = {0: 0.0}
         parents: Dict[int, Tuple[int, int]] = {}
         heap: List[Tuple[float, int]] = [(lattice.heuristic(0), 0)]

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine
 from repro.core.instance import ProblemInstance
-from repro.core.objective import ObjectiveEvaluator
 from repro.core.solution import SolveResult
 
 __all__ = ["Budget", "Solver", "glue_consecutive", "repair_order"]
@@ -90,9 +89,6 @@ class Solver(abc.ABC):
         feasible orders under ``constraints`` (including consecutive
         pairs), and should fill the result's anytime ``trace``.
         """
-
-    def _evaluator(self, instance: ProblemInstance) -> ObjectiveEvaluator:
-        return ObjectiveEvaluator(instance)
 
     def _engine(self, instance: ProblemInstance) -> EvalEngine:
         """Evaluation backend for one solve.

@@ -26,7 +26,7 @@ import time
 from typing import List, Optional
 
 from repro.analysis.constraints import ConstraintSet
-from repro.core.engine import EvalEngine
+from repro.core.engine import EvalEngine, PrefixCursor
 from repro.core.instance import ProblemInstance
 from repro.core.solution import Solution, SolveResult, SolveStatus
 from repro.solvers.base import Budget, Solver
@@ -115,7 +115,7 @@ class ExhaustiveSolver(Solver):
 
 
 class _DFSState:
-    """Mutable DFS machinery with incremental objective bookkeeping."""
+    """DFS machinery over one :class:`PrefixCursor` of the engine."""
 
     def __init__(
         self,
@@ -126,18 +126,11 @@ class _DFSState:
         engine: EvalEngine,
         use_transposition: bool = True,
     ) -> None:
-        self.instance = instance
         self.constraints = constraints
         self.budget = budget
         self.use_bound = use_bound
         self.engine = engine
         self.n = instance.n_indexes
-        self._plan_query = engine.plan_query
-        self._plan_speedup = engine.plan_speedup
-        self._plans_of_index = engine.plans_of_index
-        self._helpers = engine.helpers
-        self._ctime = engine.ctime
-        self._qweight = engine.qweight
         self.transpositions = (
             engine.new_transposition_table() if use_transposition else None
         )
@@ -145,14 +138,12 @@ class _DFSState:
         if constraints is not None:
             for first, second in constraints.consecutive_pairs:
                 self.consecutive_after[first] = second
-        # Search state.
-        self.missing = engine.plan_size[:]
-        self.qbest = [0.0] * instance.n_queries
-        self.built = bytearray(self.n)
+        # Search state: the cursor's undo records restore the exact
+        # prior floats, so drift-free prefix objectives feed the
+        # transposition-table dominance check.
+        self.cursor = PrefixCursor(engine)
         self.built_mask = 0
-        self.runtime = instance.total_base_runtime
-        self.objective = 0.0
-        self.prefix: List[int] = []
+        self.full_mask = (1 << self.n) - 1
         self.best_order: Optional[List[int]] = None
         self.best_objective = float("inf")
         self.nodes = 0
@@ -162,21 +153,21 @@ class _DFSState:
 
     # ------------------------------------------------------------------
     def run(self) -> None:
-        self._dfs()
+        self._dfs(None)
 
-    def _candidates(self) -> List[int]:
-        if self.prefix:
-            forced = self.consecutive_after.get(self.prefix[-1])
-            if forced is not None and not self.built[forced]:
-                return [forced]
+    def _candidates(self, last: Optional[int]) -> List[int]:
+        built = self.cursor.built
+        forced = self.consecutive_after.get(last)
+        if forced is not None and not built[forced]:
+            return [forced]
         out = []
         for i in range(self.n):
-            if self.built[i]:
+            if built[i]:
                 continue
             if self.constraints is not None:
                 blocked = False
                 for pred in self.constraints.predecessors(i):
-                    if not self.built[pred]:
+                    if not built[pred]:
                         blocked = True
                         break
                 if blocked:
@@ -184,7 +175,7 @@ class _DFSState:
             out.append(i)
         return out
 
-    def _dfs(self) -> None:
+    def _dfs(self, last: Optional[int]) -> None:
         if self.interrupted:
             return
         self.nodes += 1
@@ -193,12 +184,14 @@ class _DFSState:
             if self.budget.exhausted:
                 self.interrupted = True
                 return
-        if len(self.prefix) == self.n:
-            if self.objective < self.best_objective:
-                self.best_objective = self.objective
-                self.best_order = list(self.prefix)
+        cursor = self.cursor
+        objective = cursor.objective
+        if self.built_mask == self.full_mask:
+            if objective < self.best_objective:
+                self.best_objective = objective
+                self.best_order = list(cursor.stack)
                 self.trace.append(
-                    (time.perf_counter() - self._start, self.objective)
+                    (time.perf_counter() - self._start, objective)
                 )
             return
         # Built-set dominance: the same set reached before at an
@@ -207,62 +200,20 @@ class _DFSState:
         # alliance forces an identical last element for every prefix
         # sharing the mask), so the prune is exact.
         if self.transpositions is not None and self.transpositions.dominated(
-            self.built_mask, self.objective
+            self.built_mask, objective
         ):
             return
         if self.use_bound:
-            bound = self.objective + self.engine.suffix_bound(
-                self.runtime, self.built_mask
+            bound = objective + self.engine.suffix_bound(
+                cursor.runtime, self.built_mask
             )
             if bound >= self.best_objective - 1e-12:
                 return
-        for candidate in self._candidates():
-            undo = self._apply(candidate)
-            self._dfs()
-            self._undo(candidate, undo)
+        for candidate in self._candidates(last):
+            cursor.push(candidate)
+            self.built_mask |= 1 << candidate
+            self._dfs(candidate)
+            cursor.pop()
+            self.built_mask &= ~(1 << candidate)
             if self.interrupted:
                 return
-
-    def _apply(self, index_id: int):
-        best_saving = 0.0
-        for helper, saving in self._helpers[index_id]:
-            if self.built[helper] and saving > best_saving:
-                best_saving = saving
-        cost = self._ctime[index_id] - best_saving
-        prev_objective = self.objective
-        prev_runtime = self.runtime
-        self.objective += self.runtime * cost
-        self.built[index_id] = 1
-        self.built_mask |= 1 << index_id
-        self.prefix.append(index_id)
-        runtime_delta = 0.0
-        completed: List[tuple] = []
-        for plan_id in self._plans_of_index[index_id]:
-            self.missing[plan_id] -= 1
-            if self.missing[plan_id] == 0:
-                query_id = self._plan_query[plan_id]
-                speedup = self._plan_speedup[plan_id]
-                if speedup > self.qbest[query_id]:
-                    gain = (speedup - self.qbest[query_id]) * self._qweight[
-                        query_id
-                    ]
-                    runtime_delta += gain
-                    completed.append((query_id, self.qbest[query_id]))
-                    self.qbest[query_id] = speedup
-        self.runtime -= runtime_delta
-        # Undo restores the exact prior floats (same invariant as
-        # engine.PrefixCursor): drift-free prefix objectives feed the
-        # transposition-table dominance check.
-        return (prev_objective, prev_runtime, completed)
-
-    def _undo(self, index_id: int, undo) -> None:
-        prev_objective, prev_runtime, completed = undo
-        for query_id, previous in reversed(completed):
-            self.qbest[query_id] = previous
-        self.runtime = prev_runtime
-        for plan_id in self._plans_of_index[index_id]:
-            self.missing[plan_id] += 1
-        self.prefix.pop()
-        self.built[index_id] = 0
-        self.built_mask &= ~(1 << index_id)
-        self.objective = prev_objective

@@ -19,7 +19,7 @@ Design (single-process, cooperative):
   neighborhoods of the next.
 * **One engine memo per cell.**  All members share a single
   :class:`~repro.core.engine.EvalEngine` (injected through
-  ``Solver.engine`` — the same plumbing ``_Lattice(engine=...)`` and
+  ``Solver.engine`` — the same plumbing A*, subset DP and
   ``CPModel.engine`` use), so built-set runtime memo entries and
   prefix-cursor state paid for by one member are cache hits for the
   rest.

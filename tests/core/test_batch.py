@@ -3,22 +3,18 @@
 The contract under test: every batch kernel agrees *elementwise* with
 the scalar delta path (``eval_swap`` / ``eval_relocate``), and the
 vectorized feasibility masks agree cell-for-cell with the scalar
-predicates.  Kernel selection degrades gracefully when optional
-dependencies are missing.
+predicates.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.analysis.constraints import ConstraintSet
-from repro.core import batch
 from repro.core.batch import (
-    HAVE_NUMBA,
     NUMPY_MIN_N,
     BatchNeighborhood,
     FlatInstance,
@@ -72,7 +68,6 @@ class TestFlatInstance:
         for pid, plan in enumerate(instance.plans):
             assert flat.plan_query[pid] == plan.query_id
             assert flat.plan_speedup[pid] == plan.speedup
-            assert flat.plan_nmem[pid] == len(plan.indexes)
             members = set(
                 int(v) for v in flat.plan_members[pid] if v >= 0
             )
@@ -108,23 +103,10 @@ class TestKernelSelection:
         assert resolve_kernel("scalar", 500) == "scalar"
         assert resolve_kernel("numpy", 3) == "numpy"
 
-    def test_numba_degrades_when_missing(self):
-        resolved = resolve_kernel("numba", 100)
-        assert resolved == ("numba" if HAVE_NUMBA else "numpy")
-
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_kernel("cuda", 10)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        instance = make_instance(0, n=6)
-        assert EvalEngine(instance).batch_kernel() == "numpy"
-
-    def test_engine_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        instance = make_instance(0, n=6)
-        assert EvalEngine(instance, kernel="scalar").batch_kernel() == "scalar"
+        for name in ("cuda", "numba"):
+            with pytest.raises(ValueError):
+                resolve_kernel(name, 10)
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +257,7 @@ class TestEngineBatchAPI:
         assert stats.batch_moves == n * (n - 1) // 2 + n
         assert stats.evaluations >= stats.batch_moves
         as_dict = stats.as_dict()
-        for key in ("batch_evals", "batch_moves", "batch_numpy", "batch_numba"):
+        for key in ("batch_evals", "batch_moves", "batch_numpy"):
             assert isinstance(as_dict[key], int)
 
     def test_scalar_kernel_counts_delta_evals_instead(self):
@@ -306,31 +288,3 @@ class TestEngineBatchAPI:
         assert matrix_a[0, 1] == pytest.approx(
             check.eval_swap(0, 1), rel=1e-9
         )
-
-
-# ----------------------------------------------------------------------
-# Optional numba kernel
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaParity:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_numba_matches_numpy(self, seed):
-        n = 10
-        instance = make_instance(seed + 70, n=n)
-        order = shuffled(n, seed)
-        flat = FlatInstance(instance)
-        neigh = BatchNeighborhood(flat, order)
-        numpy_matrix = neigh.score_swap_neighborhood()
-        numba_matrix = batch.numba_swap_neighborhood(flat, neigh)
-        assert np.allclose(numpy_matrix, numba_matrix, rtol=1e-9, atol=1e-7)
-
-
-class TestNumbaFallback:
-    def test_numba_request_still_works_without_numba(self):
-        instance = make_instance(12, n=9)
-        engine = EvalEngine(instance, kernel="numba")
-        engine.set_base(shuffled(9, 12))
-        matrix, _ = engine.eval_all_swaps()
-        check = EvalEngine(instance)
-        check.set_base(engine.base_order)
-        assert matrix[2, 5] == pytest.approx(check.eval_swap(2, 5), rel=1e-9)

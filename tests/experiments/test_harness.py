@@ -128,18 +128,39 @@ class TestEngineStatsNote:
             {
                 "delta_evals": 10,
                 "replayed_steps": 40,
-                "baseline_steps": 100,
                 "memo_hits": 0,
                 "memo_misses": 0,
             },
         )
-        match = re.search(
-            r"replayed (\d+) steps vs (\d+) prefix-cache baseline", note
-        )
+        match = re.search(r"10 delta evals, replayed (\d+) steps", note)
         assert match is not None
         assert int(match.group(1)) == 40
-        assert int(match.group(2)) == 100
-        assert "60% saved" in note
+        assert "baseline" not in note
+
+    def test_scan_kernels_reported_separately(self):
+        scalar = engine_stats_note(
+            "ts-bswap",
+            {
+                "batch_evals": 32,
+                "batch_moves": 0,
+                "batch_numpy": 0,
+                "delta_evals": 100,
+                "replayed_steps": 5,
+            },
+        )
+        assert "32 scalar neighborhood scans" in scalar
+        assert "moves" not in scalar
+        vector = engine_stats_note(
+            "vns",
+            {
+                "batch_evals": 3,
+                "batch_moves": 30,
+                "batch_numpy": 3,
+                "full_evals": 1,
+            },
+        )
+        assert "3 numpy batch scans (30 moves)" in vector
+        assert "scalar" not in vector
 
     def test_full_eval_only_stats(self):
         note = engine_stats_note("cp", {"full_evals": 7, "delta_evals": 0})

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.constraints import ConstraintSet
+from repro.core.engine import EvalEngine
 from repro.core.objective import ObjectiveEvaluator
+from repro.core.solution import SolveStatus
+from repro.solvers import registry
 from repro.solvers.astar import AStarSolver, _Lattice, _deployment_units
 
 from tests.conftest import brute_force_best, make_paper_example, small_synthetic
@@ -42,7 +45,7 @@ class TestDeploymentUnits:
 class TestLattice:
     def test_runtime_cached_and_correct(self):
         instance = small_synthetic(seed=0, n=5)
-        lattice = _Lattice(instance, None)
+        lattice = _Lattice(instance, None, EvalEngine(instance))
         full = (1 << 5) - 1
         assert lattice.runtime(0) == pytest.approx(
             instance.total_base_runtime
@@ -56,7 +59,7 @@ class TestLattice:
 
     def test_unit_cost_matches_evaluator_step(self):
         instance = make_paper_example()
-        lattice = _Lattice(instance, None)
+        lattice = _Lattice(instance, None, EvalEngine(instance))
         evaluator = ObjectiveEvaluator(instance)
         # Deploy index 1 first, then unit 0 from mask {1}.
         objective_0, cost_0 = lattice.unit_cost(1, 0)
@@ -68,7 +71,7 @@ class TestLattice:
 
     def test_heuristic_admissible(self):
         instance = small_synthetic(seed=3, n=6)
-        lattice = _Lattice(instance, None)
+        lattice = _Lattice(instance, None, EvalEngine(instance))
         _, optimum = brute_force_best(instance)
         assert lattice.heuristic(0) <= optimum + 1e-6
 
@@ -76,7 +79,7 @@ class TestLattice:
         instance = small_synthetic(seed=1, n=4)
         constraints = ConstraintSet(4)
         constraints.add_precedence(2, 0)
-        lattice = _Lattice(instance, constraints)
+        lattice = _Lattice(instance, constraints, EvalEngine(instance))
         unit_of = {unit: i for i, unit in enumerate(lattice.units)}
         unit_0 = unit_of[(0,)]
         assert not lattice.expandable(unit_0, 0)  # 2 not built yet
@@ -84,7 +87,7 @@ class TestLattice:
 
     def test_expandable_rejects_already_built(self):
         instance = small_synthetic(seed=1, n=4)
-        lattice = _Lattice(instance, None)
+        lattice = _Lattice(instance, None, EvalEngine(instance))
         assert not lattice.expandable(0, 1 << 0)
 
 
@@ -98,3 +101,15 @@ class TestAStarWithUnits:
         assert order.index(4) == order.index(0) + 1
         _, best = brute_force_best(instance, constraints)
         assert result.solution.objective == pytest.approx(best)
+
+
+class TestInjectedEngine:
+    @pytest.mark.parametrize("name", ["astar", "subset-dp"])
+    def test_lattice_solvers_use_the_injected_engine(self, name):
+        instance = small_synthetic(seed=2, n=6)
+        solver = registry.create(name)
+        solver.engine = EvalEngine(instance)
+        result = solver.solve(instance)
+        assert result.status is SolveStatus.OPTIMAL
+        # The lattice's built-set runtimes went through this engine.
+        assert solver.engine.stats.memo_misses > 0

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.constraints import ConstraintSet
 from repro.analysis.fixpoint import analyze
-from repro.core.engine import EvalEngine
+from repro.core.engine import EvalEngine, PrefixCursor
 from repro.core.instance import ProblemInstance
 from repro.core.objective import ObjectiveEvaluator, PrefixCachedEvaluator
 from repro.core.serialization import instance_from_dict, instance_to_dict
@@ -242,6 +242,43 @@ class TestEngineDeltaProperties:
 
 
 # ----------------------------------------------------------------------
+# PrefixCursor: the exact push/pop state the exhaustive DFS, CP bound
+# checks and the delta base all walk.
+# ----------------------------------------------------------------------
+class TestPrefixCursorProperties:
+    @COMMON_SETTINGS
+    @given(
+        instances(),
+        st.lists(st.integers(min_value=-3, max_value=7), max_size=40),
+    )
+    def test_push_pop_walk_matches_reference(self, instance, walk):
+        # Negative steps pop, others push the step-th unbuilt index.
+        reference = ObjectiveEvaluator(instance)
+        cursor = PrefixCursor(EvalEngine(instance))
+        n = instance.n_indexes
+        before_push = []
+        for step in walk:
+            free = [i for i in range(n) if i not in cursor.stack]
+            if step < 0 or not free:
+                if not cursor.depth:
+                    continue
+                cursor.pop()
+                objective, runtime = before_push.pop()
+                assert cursor.objective == objective  # bit for bit
+                assert cursor.runtime == runtime
+            else:
+                before_push.append((cursor.objective, cursor.runtime))
+                cursor.push(free[step % len(free)])
+            objective, runtime, _ = reference.evaluate_prefix(
+                list(cursor.stack)
+            )
+            assert cursor.objective == pytest.approx(
+                objective, rel=1e-9, abs=1e-9
+            )
+            assert cursor.runtime == pytest.approx(runtime, rel=1e-9, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
 # Batch kernels: vectorized neighborhood scoring must agree elementwise
 # with the scalar delta path, and the vectorized feasibility mask with
 # the scalar predicate, on arbitrary generated instances.
@@ -250,7 +287,6 @@ class TestBatchKernelProperties:
     @COMMON_SETTINGS
     @given(instances_with_order())
     def test_eval_all_swaps_matches_scalar_elementwise(self, pair):
-        pytest.importorskip("numpy")
         instance, base = pair
         n = instance.n_indexes
         vector_engine = EvalEngine(instance, kernel="numpy")
@@ -270,7 +306,6 @@ class TestBatchKernelProperties:
     @COMMON_SETTINGS
     @given(instances_with_base_and_move())
     def test_eval_all_inserts_matches_scalar_elementwise(self, quad):
-        pytest.importorskip("numpy")
         instance, base, src, _ = quad
         engine = EvalEngine(instance, kernel="numpy")
         engine.set_base(base)
@@ -285,7 +320,6 @@ class TestBatchKernelProperties:
     @COMMON_SETTINGS
     @given(instances())
     def test_feasibility_mask_matches_swap_feasible(self, instance):
-        pytest.importorskip("numpy")
         from repro.core.batch import swap_feasibility_mask
         from repro.solvers.localsearch.neighborhood import swap_feasible
 
