@@ -26,9 +26,16 @@ scan, and the median per-scan ratio must be >= 3x *including* the
 numpy kernel's per-base precompute.  Results land in
 ``BENCH_batch.json``.
 
+A third benchmark pins the incremental Algorithm-1 greedy: it and the
+full-recompute oracle (``tests/greedy_oracle.py``) run interleaved on
+the TPC-DS matrix, must return the same order, and the incremental
+greedy must be >= 10x faster.  That row is ``greedy`` in
+``BENCH_localsearch.json``.
+
 Measured on the reference box: ~2.3x (scan), ~1.3x (random), ~2.2x
-(scattered), ~4x (numpy batch vs scalar scan, n=96).  The asserted
-floors are deliberately conservative to absorb machine noise.
+(scattered), ~4x (numpy batch vs scalar scan, n=96), ~40x (greedy,
+n=139).  The asserted floors are deliberately conservative to absorb
+machine noise.
 """
 
 from __future__ import annotations
@@ -44,8 +51,11 @@ import pytest
 
 from repro.core.engine import EvalEngine
 from repro.core.objective import PrefixCachedEvaluator
-from repro.experiments.instances import tpch_instance
+from repro.experiments.instances import tpcds_instance, tpch_instance
+from repro.solvers.greedy import greedy_order
 from repro.workloads import GeneratorConfig, generate_instance
+
+from tests.greedy_oracle import oracle_greedy_order
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_localsearch.json"
 BATCH_RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_batch.json"
@@ -56,6 +66,15 @@ def _smoke_rounds(full: int) -> int:
     if os.environ.get("REPRO_BENCH_SMOKE") == "1":
         return max(1, full // 4)
     return full
+
+
+def _write_rows(path: Path, rows: dict) -> None:
+    """Merge ``rows`` into the JSON ledger at ``path``, keeping the
+    rows other benchmarks wrote."""
+    path.parent.mkdir(exist_ok=True)
+    ledger = json.loads(path.read_text()) if path.exists() else {}
+    ledger.update(rows)
+    path.write_text(json.dumps(ledger, indent=1) + "\n")
 
 
 def _checkpoint_steps(n: int, first: int, stride: int) -> int:
@@ -186,8 +205,7 @@ def test_engine_beats_prefix_cached_on_tabu_scan(benchmark):
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(results, indent=1) + "\n")
+    _write_rows(RESULTS_PATH, results)
     # The engine must replay fewer steps than checkpoint replay on the
     # patterns it was built for (deterministic), and finish faster.
     # Wall-clock floors are conservative vs the measured ~2.3x / ~1.3x /
@@ -285,3 +303,36 @@ def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark):
     assert results["batch_numpy"] == rounds
     if os.environ.get("GITHUB_ACTIONS") != "true":
         assert results["median_scan_speedup"] >= 3.0, results
+
+
+def test_incremental_greedy_beats_full_recompute(benchmark):
+    """Interleaved A/B: ``greedy_order`` vs the full-recompute oracle on
+    TPC-DS (n=139).  Both must return the same order; the incremental
+    greedy must be >= 10x faster by the median per-round ratio."""
+    instance = tpcds_instance()
+    rounds = _smoke_rounds(2)
+
+    def run():
+        oracle_times, incremental_times = [], []
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            oracle = oracle_greedy_order(instance)
+            oracle_times.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            incremental = greedy_order(instance)
+            incremental_times.append(time.perf_counter() - t0)
+            assert incremental == oracle
+        speedups = [o / i for o, i in zip(oracle_times, incremental_times)]
+        return {
+            "instance": {"kind": "tpcds", "n_indexes": instance.n_indexes},
+            "rounds": rounds,
+            "oracle_seconds": oracle_times,
+            "incremental_seconds": incremental_times,
+            "median_speedup": statistics.median(speedups),
+            "orders_identical": True,
+        }
+
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    _write_rows(RESULTS_PATH, {"greedy": results})
+    if os.environ.get("GITHUB_ACTIONS") != "true":
+        assert results["median_speedup"] >= 10.0, results

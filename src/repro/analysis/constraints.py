@@ -125,6 +125,24 @@ class ConstraintSet:
         """Bitmask of known successors of ``i``."""
         return self._after[i]
 
+    def chain_predecessor_mask(self, first: int) -> int:
+        """Known predecessors of the consecutive chain ``first`` heads.
+
+        The chain is ``first`` and the indexes consecutive pairs glue
+        after it, in turn.  The mask holds every member's predecessors
+        outside the chain: deploying ``first`` commits the whole chain,
+        so these must all be deployed before ``first``.
+        """
+        follower = dict(self._consecutive)
+        chain = 1 << first
+        mask = self._before[first]
+        member = follower.get(first)
+        while member is not None:
+            mask |= self._before[member] & ~chain
+            chain |= 1 << member
+            member = follower.get(member)
+        return mask
+
     @property
     def consecutive_pairs(self) -> List[Tuple[int, int]]:
         """Recorded alliance pairs ``(first, second)``."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine
@@ -106,34 +106,81 @@ def repair_order(
 ) -> list:
     """Minimally reorder ``order`` into constraint feasibility.
 
-    Moves any index placed before one of its known predecessors to just
-    after that predecessor, repeating until no violation remains (the
-    precedence relation is acyclic, so this terminates), then glues
-    consecutive pairs.  The relative order of unconstrained indexes is
-    preserved.  Positions are maintained incrementally — each move only
+    Each chain of consecutive pairs moves as one block, placed where its
+    first member stands; every other index is a block of its own.  A
+    block placed before a block holding one of its members' known
+    predecessors moves to just after that block, repeating until no
+    violation remains.  The relative order of unconstrained blocks is
+    preserved, and the result satisfies the set whenever some order
+    does.  Positions are maintained incrementally — each move only
     renumbers the rotated span, so one pass costs O(n) amortized
     instead of rebuilding the full position map per move.
     """
     result = list(order)
     if constraints is None:
         return result
-    position = {index_id: pos for pos, index_id in enumerate(result)}
+    members = _chain_blocks(result, constraints)
+    heads = list(members)
+    block_of = {index_id: head for head in heads for index_id in members[head]}
+    position = {head: pos for pos, head in enumerate(heads)}
     changed = True
     while changed:
         changed = False
         for b in range(constraints.n):
+            head_b = block_of[b]
             for a in constraints.predecessors(b):
-                pos_a = position[a]
-                pos_b = position[b]
+                pos_a = position[block_of[a]]
+                pos_b = position[head_b]
                 if pos_a > pos_b:
-                    # Rotate b from pos_b to just after a; only the span
-                    # [pos_b, pos_a] shifts, so renumber just that span.
-                    result.pop(pos_b)
-                    result.insert(pos_a, b)
+                    # Rotate b's block from pos_b to just after a's;
+                    # only the span [pos_b, pos_a] shifts, so renumber
+                    # just that span.
+                    heads.pop(pos_b)
+                    heads.insert(pos_a, head_b)
                     for pos in range(pos_b, pos_a + 1):
-                        position[result[pos]] = pos
+                        position[heads[pos]] = pos
                     changed = True
-    return glue_consecutive(result, constraints)
+    return [index_id for head in heads for index_id in members[head]]
+
+
+def _chain_blocks(
+    order: Sequence[int], constraints: ConstraintSet
+) -> Dict[int, Tuple[int, ...]]:
+    """First member -> chain of consecutive pairs, in ``order``'s order.
+
+    An index in no pair is a chain of one.  When no order satisfies the
+    pairs (an index with two partners on one side, or chains whose
+    precedences form a cycle, which would keep the rotations in
+    :func:`repair_order` from settling), every index is its own block,
+    so only the precedences get repaired.
+    """
+    singletons = {index_id: (index_id,) for index_id in order}
+    pairs = constraints.consecutive_pairs
+    follower = dict(pairs)
+    leaders = {second for _, second in pairs}
+    if not pairs or len(follower) < len(pairs) or len(leaders) < len(pairs):
+        return singletons
+    members = {}
+    for index_id in order:
+        if index_id in leaders:
+            continue
+        chain = [index_id]
+        while chain[-1] in follower:
+            chain.append(follower[chain[-1]])
+        members[index_id] = tuple(chain)
+    # The chains must have an order: peel off, round by round, every
+    # chain whose outside predecessors are all placed.
+    need = {head: constraints.chain_predecessor_mask(head) for head in members}
+    placed = 0
+    while need:
+        ready = [head for head, mask in need.items() if not mask & ~placed]
+        if not ready:
+            return singletons
+        for head in ready:
+            del need[head]
+            for index_id in members[head]:
+                placed |= 1 << index_id
+    return members
 
 
 def glue_consecutive(
@@ -143,8 +190,8 @@ def glue_consecutive(
 
     Scans the consecutive pairs and moves each ``second`` directly after
     its ``first`` while preserving the relative order of everything else.
-    Used to make heuristic starting points feasible for constraint-aware
-    search.
+    Moving ``second`` can break one of its other precedences;
+    :func:`repair_order` repairs pairs and precedences together.
     """
     result = list(order)
     if constraints is None:

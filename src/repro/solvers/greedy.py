@@ -7,14 +7,22 @@ interaction share is what distinguishes it from a naive benefit-greedy:
 an index that unlocks nothing *yet* but is needed by a large multi-index
 plan still gets credit proportional to the plan's speed-up divided by
 the number of missing indexes.
+
+The greedy is incremental.  It walks one
+:class:`~repro.core.engine.DeployState` beside the order it builds, so
+a candidate's density reads only the candidate's own plans (their
+missing-member counters and each query's best completed speed-up) and
+its build helpers: O(|plans containing c|) per candidate instead of a
+total-runtime recomputation.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from repro.analysis.constraints import ConstraintSet
+from repro.core.engine import DeployState, EvalEngine
 from repro.core.instance import ProblemInstance
 from repro.core.solution import Solution, SolveResult, SolveStatus
 from repro.solvers.base import Budget, Solver
@@ -29,68 +37,84 @@ def greedy_order(
 ) -> List[int]:
     """Run Algorithm 1 and return the resulting order.
 
-    When ``constraints`` are given, only indexes whose known predecessors
-    are already built are eligible at each step, which keeps the output
-    feasible; consecutive (alliance) pairs are respected because the
-    second member's only predecessor chain passes through the first.
+    When ``constraints`` are given, an index is eligible once its known
+    predecessors are built.  The first member of a consecutive
+    (alliance) pair is deployed together with the second, so it also
+    waits for the second member's other predecessors (and so on along a
+    chain of pairs); the output is feasible whenever the set is.
     """
     n = instance.n_indexes
-    built: Set[int] = set()
-    order: List[int] = []
-    remaining = set(range(n))
-    forced_next: Optional[int] = None
-    consecutive_after = {}
+    state = DeployState(EvalEngine(instance))
+    built = state.built
+    follower: Dict[int, int] = {}
+    required = [0] * n
     if constraints is not None:
-        for first, second in constraints.consecutive_pairs:
-            consecutive_after[first] = second
-    while remaining:
-        if forced_next is not None and forced_next in remaining:
+        follower = dict(constraints.consecutive_pairs)
+        required = [constraints.chain_predecessor_mask(i) for i in range(n)]
+    order: List[int] = []
+    built_mask = 0
+    forced_next: Optional[int] = None
+    while len(order) < n:
+        if forced_next is not None and not built[forced_next]:
             choice = forced_next
         else:
-            eligible = [
-                i
-                for i in remaining
-                if constraints is None
-                or constraints.predecessors(i) <= built
-            ]
-            if not eligible:
-                # Constraints temporarily unsatisfiable from this state
-                # (should not happen with a consistent set); fall back.
-                eligible = sorted(remaining)
-            choice = _best_by_density(instance, eligible, built)
+            unbuilt = [i for i in range(n) if not built[i]]
+            eligible = [i for i in unbuilt if not required[i] & ~built_mask]
+            # Empty only when no order satisfies the set; then every
+            # unbuilt index competes.
+            choice = _best_by_density(state, eligible or unbuilt)
         order.append(choice)
-        built.add(choice)
-        remaining.discard(choice)
-        forced_next = consecutive_after.get(choice)
+        state.deploy((choice,))
+        built_mask |= 1 << choice
+        forced_next = follower.get(choice)
     return order
 
 
-def _best_by_density(
-    instance: ProblemInstance, eligible: List[int], built: Set[int]
-) -> int:
-    runtime_now = instance.total_runtime(built)
-    best_index = eligible[0]
+def _best_by_density(state: DeployState, eligible: Iterable[int]) -> int:
+    """The first ``eligible`` index (ascending) of highest density."""
+    engine = state.engine
+    plans_of_index = engine.plans_of_index
+    plan_query = engine.plan_query
+    plan_speedup = engine.plan_speedup
+    qweight = engine.qweight
+    helpers = engine.helpers
+    ctime = engine.ctime
+    missing = state.missing
+    qbest = state.qbest
+    built = state.built
+    best_index = -1
     best_density = float("-inf")
-    for candidate in sorted(eligible):
-        with_candidate = built | {candidate}
-        runtime_next = instance.total_runtime(with_candidate)
-        benefit = runtime_now - runtime_next
+    for candidate in eligible:
+        plans = plans_of_index[candidate]
+        # Realized benefit: the plans the candidate completes raise
+        # their queries' best speed-ups.
+        raised: Dict[int, float] = {}
+        for plan_id in plans:
+            if missing[plan_id] == 1:
+                query_id = plan_query[plan_id]
+                speedup = plan_speedup[plan_id]
+                if speedup > raised.get(query_id, qbest[query_id]):
+                    raised[query_id] = speedup
+        benefit = 0.0
+        for query_id, speedup in raised.items():
+            benefit += (speedup - qbest[query_id]) * qweight[query_id]
         # Future-opportunity credit: plans containing the candidate that
-        # are still locked contribute their *additional* speed-up split
-        # across the missing indexes (Algorithm 1's interaction term).
-        for plan_id in instance.plans_containing(candidate):
-            plan = instance.plans[plan_id]
-            missing = plan.indexes - with_candidate
-            if not missing:
-                continue
-            query = instance.queries[plan.query_id]
-            current_speedup = instance.query_speedup(
-                plan.query_id, with_candidate
-            )
-            interaction = (plan.speedup - current_speedup) * query.weight
-            if interaction > 0:
-                benefit += interaction / len(missing)
-        cost = instance.build_cost(candidate, built)
+        # stay locked contribute their *additional* speed-up split
+        # across the indexes they still miss (the interaction term).
+        for plan_id in plans:
+            left = missing[plan_id] - 1
+            if left:
+                query_id = plan_query[plan_id]
+                interaction = (
+                    plan_speedup[plan_id] - raised.get(query_id, qbest[query_id])
+                ) * qweight[query_id]
+                if interaction > 0:
+                    benefit += interaction / left
+        best_saving = 0.0
+        for helper, saving in helpers[candidate]:
+            if built[helper] and saving > best_saving:
+                best_saving = saving
+        cost = ctime[candidate] - best_saving
         density = benefit / cost if cost > 0 else float("inf")
         if density > best_density:
             best_density = density

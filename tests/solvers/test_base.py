@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine
+from repro.errors import InfeasibleError
 from repro.core.objective import ObjectiveEvaluator
 from repro.solvers.base import Budget, glue_consecutive, repair_order
 
@@ -110,6 +114,72 @@ class TestRepairOrder:
         constraints.add_precedence(3, 1)
         repaired = repair_order([0, 1, 2, 3, 4], constraints)
         assert sorted(repaired) == list(range(5))
+
+    def test_pair_moves_as_a_block(self):
+        # c=2 must precede b=1 of the pair (0, 1): gluing b back after
+        # a=0 alone would give [0, 1, 2, 3] and break 2 -> 1.
+        constraints = ConstraintSet(4)
+        constraints.add_consecutive(0, 1)
+        constraints.add_precedence(2, 1)
+        repaired = repair_order([0, 2, 1, 3], constraints)
+        assert repaired == [2, 0, 1, 3]
+        assert constraints.check_order(repaired)
+
+    def test_unsatisfiable_pairs_still_give_a_permutation(self):
+        constraints = ConstraintSet(4)
+        constraints.add_consecutive(0, 1)
+        constraints.add_consecutive(0, 2)
+        repaired = repair_order([3, 2, 1, 0], constraints)
+        assert sorted(repaired) == [0, 1, 2, 3]
+        assert repaired.index(0) < min(repaired.index(1), repaired.index(2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=7),
+        st.randoms(use_true_random=False),
+    )
+    def test_feasible_whenever_the_set_is(self, n, rng):
+        constraints = ConstraintSet(n)
+        for _ in range(rng.randint(0, 5)):
+            a, b = rng.sample(range(n), 2)
+            add = (
+                constraints.add_consecutive
+                if rng.random() < 0.4
+                else constraints.add_precedence
+            )
+            try:
+                add(a, b)
+            except InfeasibleError:
+                continue
+        order = list(range(n))
+        rng.shuffle(order)
+        repaired = repair_order(order, constraints)
+        assert sorted(repaired) == list(range(n))
+        if not constraints.consecutive_pairs:
+            assert repaired == _rotate_before_predecessors(order, constraints)
+        if any(
+            constraints.check_order(candidate)
+            for candidate in itertools.permutations(range(n))
+        ):
+            assert constraints.check_order(repaired), (order, repaired)
+
+
+def _rotate_before_predecessors(order, constraints):
+    """Precedence-only repair: move an index to just after a predecessor
+    placed behind it, until none is.  Without consecutive pairs
+    ``repair_order`` must return exactly this."""
+    result = list(order)
+    changed = True
+    while changed:
+        changed = False
+        for b in range(constraints.n):
+            for a in constraints.predecessors(b):
+                pos_a, pos_b = result.index(a), result.index(b)
+                if pos_a > pos_b:
+                    result.pop(pos_b)
+                    result.insert(pos_a, b)
+                    changed = True
+    return result
 
 
 class TestGlueConsecutive:

@@ -366,7 +366,7 @@ class TestSwapFeasibleProperties:
         rng.shuffle(order)
         order = repair_order(order, constraints)
         if not constraints.check_order(order):
-            return  # repair_order glues pairs last; rare clashes skip
+            return  # an unsatisfiable set has no feasible order to scan
         position_free = list(range(n))
         for _ in range(15):
             pos_a = rng.randrange(n)
