@@ -22,9 +22,10 @@ Three patterns are measured against the checkpoint evaluator:
 A second benchmark pins the vectorized layer (``repro.core.batch``):
 the same tabu neighborhood-scan sequence runs through the scalar and
 numpy kernels of ``EvalEngine.eval_all_swaps``, interleaved scan by
-scan, and the median per-scan ratio must be >= 3x *including* the
-numpy kernel's per-base precompute.  Results land in
-``BENCH_batch.json``.
+scan, and the median per-scan ratio must clear a floor *including* the
+numpy kernel's per-base precompute: >= 3x on a synthetic n=96 instance
+and >= 6x on the ``search-tpcds`` benchmark matrix (n=64).  Results
+land in ``BENCH_batch.json``, one row per instance.
 
 A third benchmark pins the incremental Algorithm-1 greedy: it and the
 full-recompute oracle (``tests/greedy_oracle.py``) run interleaved on
@@ -33,9 +34,10 @@ greedy must be >= 10x faster.  That row is ``greedy`` in
 ``BENCH_localsearch.json``.
 
 Measured on the reference box: ~2.3x (scan), ~1.3x (random), ~2.2x
-(scattered), ~4x (numpy batch vs scalar scan, n=96), ~40x (greedy,
-n=139).  The asserted floors are deliberately conservative to absorb
-machine noise.
+(scattered), ~29x / ~22x (numpy batch vs scalar scan, n=96 /
+search-tpcds), ~40x (greedy, n=139).  The asserted floors are
+deliberately conservative to absorb machine noise; the search-tpcds
+floor also fails the previous per-row kernel (~1.7-2.3x there).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from repro.experiments.instances import tpcds_instance, tpch_instance
 from repro.solvers.greedy import greedy_order
 from repro.workloads import GeneratorConfig, generate_instance
 
+from tests.conftest import tpcds_shaped
 from tests.greedy_oracle import oracle_greedy_order
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_localsearch.json"
@@ -223,7 +226,30 @@ def test_engine_beats_prefix_cached_on_tabu_scan(benchmark):
         assert scattered_stats["speedup"] >= 1.2, scattered_stats
 
 
-def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark):
+#: The batch ledger's rows: instance, its description, and the floor on
+#: the median per-scan numpy/scalar ratio.  ``search-tpcds`` is the
+#: end-to-end benchmark's search matrix.
+BATCH_CASES = {
+    "n96": (
+        lambda: generate_instance(
+            seed=9,
+            config=GeneratorConfig(
+                n_indexes=96, n_queries=60, build_interaction_rate=1.5
+            ),
+        ),
+        {"kind": "synthetic", "n_indexes": 96, "seed": 9},
+        3.0,
+    ),
+    "search-tpcds": (
+        lambda: tpcds_shaped(64),
+        {"kind": "tpcds-shaped", "n_indexes": 64, "seed": 2012},
+        6.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark, case):
     """Interleaved A/B: numpy ``eval_all_swaps`` vs the scalar delta
     path on full tabu neighborhood scans, including the per-base
     precompute the numpy kernel pays on every rebase.
@@ -232,16 +258,12 @@ def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark):
     also pays the one-off ``FlatInstance`` lowering, and a single
     descheduled scan on a loaded box should not decide the verdict.
 
-    Runs on a synthetic instance above the ``auto`` kernel threshold
-    (TPC-H's n=32 legitimately stays scalar; TPC-DS takes minutes to
-    build, which would dwarf the measurement).
+    Both instances are above the ``auto`` kernel threshold (TPC-H's
+    n=32 legitimately stays scalar, and TPC-DS at n=139 makes a scalar
+    scan take over a second).
     """
-    instance = generate_instance(
-        seed=9,
-        config=GeneratorConfig(
-            n_indexes=96, n_queries=60, build_interaction_rate=1.5
-        ),
-    )
+    build, description, floor = BATCH_CASES[case]
+    instance = build()
     n = instance.n_indexes
     base = list(range(n))
     random.Random(0).shuffle(base)
@@ -272,37 +294,35 @@ def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark):
             scalar_objectives, _ = scalar.eval_all_swaps()
             scalar_times.append(time.perf_counter() - t0)
             last = (numpy_objectives, scalar_objectives)
-        # Parity spot-check so the ratio cannot be won by computing
-        # the wrong thing fast.
+        # Parity check so the ratio cannot be won by computing the
+        # wrong thing fast.
         numpy_objectives, scalar_objectives = last
-        for pos_a in range(0, n - 1, 7):
-            for pos_b in range(pos_a + 1, n, 5):
-                assert numpy_objectives[pos_a][pos_b] == pytest.approx(
-                    scalar_objectives[pos_a][pos_b], rel=1e-9
-                )
+        assert numpy_objectives == pytest.approx(scalar_objectives, rel=1e-9)
         stats = numpy_engine.stats
         scalar_time, numpy_time = sum(scalar_times), sum(numpy_times)
         scan_speedups = [s / v for s, v in zip(scalar_times, numpy_times)]
         return {
-            "instance": {"kind": "synthetic", "n_indexes": n, "seed": 9},
+            "instance": description,
             "scans": rounds,
             "moves_per_scan": n * (n - 1) // 2,
             "scalar_seconds": scalar_time,
             "numpy_seconds": numpy_time,
+            "median_scalar_scan_seconds": statistics.median(scalar_times),
+            "median_numpy_scan_seconds": statistics.median(numpy_times),
             "speedup": scalar_time / numpy_time,
             "scan_speedups": scan_speedups,
             "median_scan_speedup": statistics.median(scan_speedups),
+            "floor": floor,
             "batch_evals": stats.batch_evals,
             "batch_moves": stats.batch_moves,
             "batch_numpy": stats.batch_numpy,
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    BATCH_RESULTS_PATH.parent.mkdir(exist_ok=True)
-    BATCH_RESULTS_PATH.write_text(json.dumps(results, indent=1) + "\n")
+    _write_rows(BATCH_RESULTS_PATH, {case: results})
     assert results["batch_numpy"] == rounds
     if os.environ.get("GITHUB_ACTIONS") != "true":
-        assert results["median_scan_speedup"] >= 3.0, results
+        assert results["median_scan_speedup"] >= floor, results
 
 
 def test_incremental_greedy_beats_full_recompute(benchmark):

@@ -1,10 +1,11 @@
-"""Vectorized batch neighborhood evaluation over flattened instance arrays.
+"""Vectorized swap-neighborhood evaluation over flattened instance arrays.
 
 The scalar delta path in :class:`~repro.core.engine.EvalEngine` answers
 one move at a time by replaying the move's divergence window.  A tabu
 scan asks for *every* pairwise swap of the base order — O(n^2) Python
 calls, each replaying an O(n) window.  This module scores the whole
-neighborhood in one pass of numpy array ops.
+neighborhood with a fixed number of numpy calls per base order: no
+Python loop runs over rows, queries, plan groups or indexes.
 
 The key identity: swapping positions ``a < b`` (``x = order[a]``,
 ``y = order[b]``) leaves every step of the window ``(a, b)`` building
@@ -13,40 +14,39 @@ the base prefix only by *x missing* and *y present*.  So the swapped
 objective decomposes into
 
 * an **x-removed baseline**: the base trajectory with ``x`` deleted —
-  runtime ``R-``, step costs ``costx`` and their running sum, computed
-  once per row ``a`` with a handful of vector ops (only queries that
-  have a plan through ``x``, and steps where ``x`` was the best build
-  helper, can differ from the base trajectory), and
+  runtime ``R-``, step costs ``costx`` and their running sum.  Only
+  queries that have a plan through ``x`` can lose speed-up, so the
+  baseline of every row comes from one ``(index, query)``-pair table
+  of x-removed best speed-ups, and only steps where ``x`` was the best
+  build helper change cost; and
 * a **deviation term** from ``y`` being available early: a plan whose
   *last* member sits at position ``b`` completes as soon as its other
   members are built, which lowers the runtime of the remaining window
-  steps.  Every such (plan, step) incidence is a *cell*; cells depend
-  only on the base order, so they are materialized once per base
-  (value = ``weight * max(0, A - qbest0) * cost0``, where ``A`` is the
-  per-(query, completion-position) running best speedup), summed into
-  an ``(n, n)`` matrix whose suffix sums give each row's deviation in
-  O(1) — with per-row corrections only for the sparse cells whose
-  value actually depends on ``x`` (x-plans in the running max, steps
-  where ``x`` supported the base qbest, steps where ``x`` was the best
-  helper).
+  steps.  Plans sharing a completion position ``b`` and a query form a
+  *group*; each (group, step) incidence is a *cell* whose value
+  ``weight * max(0, A - qbest)`` (``A`` = the group's running best
+  speed-up) depends only on the base order.  Cells are summed once per
+  base into ``(n, n)`` matrices; a row only re-scores the sparse cells
+  whose value depends on ``x``: cells of groups holding an x-plan, and
+  cells at (query, step) where removing ``x`` lowers the query's best
+  speed-up.
 
 Everything here is exact with respect to the scalar replay semantics —
-the property tests assert elementwise agreement with ``eval_swap`` /
-``eval_relocate`` — up to float summation order.
+the tests assert elementwise agreement with ``eval_swap`` — up to float
+summation order.
 
 Kernels: ``numpy`` (this module) and ``scalar`` (the engine's delta
 path, looped).  ``auto`` picks numpy from :data:`NUMPY_MIN_N` indexes
-up — below that the per-row vector-op overhead loses to the scalar
-path.
+up — below that the per-base array setup loses to the scalar path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import DeployState, EvalEngine
+from repro.core.engine import EvalEngine, PrefixCursor
 
 __all__ = [
     "KERNELS",
@@ -56,14 +56,13 @@ __all__ = [
     "precedence_matrix",
     "resolve_kernel",
     "swap_feasibility_mask",
-    "relocate_feasibility_mask",
 ]
 
 KERNELS = ("auto", "scalar", "numpy")
 
 #: ``auto`` switches to the numpy kernel at this instance size; below
 #: it a full scalar scan is already a few milliseconds and the batch
-#: per-row setup does not pay for itself.
+#: per-base setup does not pay for itself.
 NUMPY_MIN_N = 48
 
 
@@ -81,6 +80,15 @@ def resolve_kernel(requested: Optional[str], n: int) -> str:
     return kernel
 
 
+def _ranges(lo, hi):
+    """``(concatenated arange(lo[i], hi[i]), owner i of each entry)``."""
+    lens = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(len(lens)), lens)
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(lo - ends + lens, lens), owner
+
+
 # ----------------------------------------------------------------------
 # Instance lowering
 # ----------------------------------------------------------------------
@@ -90,45 +98,75 @@ class FlatInstance:
     Layout (all arrays C-contiguous; see ARCHITECTURE.md):
 
     * ``plan_query[p]``, ``plan_speedup[p]`` — per-plan query id and
-      speedup.
+      speedup; ``plan_rank[p]`` indexes ``speed_table`` (dense rank,
+      0 = speed-up 0.0) so running maxima can be taken over integers.
     * ``plan_members[p, :]`` — member index ids, padded with ``-1``
       (width = largest plan).
-    * ``poi_indptr`` / ``poi_flat`` — CSR plans-of-index incidence.
+    * ``poi_indptr`` / ``poi_flat`` — CSR plans-of-index incidence, and
+      ``inc_index``, the index of each ``poi_flat`` entry.
+    * ``pair_x`` / ``pair_q`` — every (index, query) pair where the
+      query has a plan through the index, sorted; ``qx_indptr`` is its
+      CSR by index and ``pair_of[x, q]`` the pair id (``-1`` if none).
+    * ``xq_pair`` / ``xq_plan`` — for each pair, the plans of its query
+      that do *not* contain its index (what is left of the query's
+      best speed-up once the index is removed).
     * ``ctime[i]``, ``qweight[q]`` — cost vectors.
     * ``cs[t, h]`` — dense build-interaction matrix (saving on target
       ``t`` when helper ``h`` is already built; 0 when none).
     * ``itgt`` / ``ihlp`` / ``isav`` — the interaction triples, flat.
-    * ``engine`` — a scalar :class:`EvalEngine` over the same instance,
-      whose :class:`DeployState` replays each base trajectory.
+    * ``cursor`` — a :class:`PrefixCursor` on a scalar
+      :class:`EvalEngine` over the same instance, which replays each
+      base trajectory (re-deploying only what differs from the last).
 
-    The arrays are position-independent and picklable, so a future
-    cross-process portfolio can share one copy per worker.
+    None of these depend on a base order; everything is built with
+    vector ops except the interaction triples.
     """
 
     def __init__(self, instance) -> None:
         n = instance.n_indexes
+        m = instance.n_queries
         plans = instance.plans
         self.instance = instance
         self.n = n
-        self.n_queries = instance.n_queries
+        self.n_queries = m
         self.n_plans = len(plans)
         self.plan_query = np.array(
-            [p.query_id for p in plans], dtype=np.int32
+            [p.query_id for p in plans], dtype=np.int64
         )
         self.plan_speedup = np.array(
             [p.speedup for p in plans], dtype=np.float64
         )
+        values, inverse = np.unique(self.plan_speedup, return_inverse=True)
+        self.speed_table = np.concatenate(([0.0], values))
+        self.plan_rank = inverse + 1
         width = max((len(p.indexes) for p in plans), default=1)
-        members = np.full((self.n_plans, width), -1, dtype=np.int32)
+        members = np.full((self.n_plans, width), -1, dtype=np.int64)
         for pid, plan in enumerate(plans):
             members[pid, : len(plan.indexes)] = sorted(plan.indexes)
         self.plan_members = members
-        poi = [list(instance.plans_containing(i)) for i in range(n)]
+        inc_plan, slot = np.nonzero(members >= 0)
+        inc_index = members[inc_plan, slot]
+        by_index = np.lexsort((inc_plan, inc_index))
+        self.poi_flat = inc_plan[by_index]
         self.poi_indptr = np.zeros(n + 1, dtype=np.int64)
-        self.poi_indptr[1:] = np.cumsum([len(p) for p in poi])
-        self.poi_flat = np.array(
-            [pid for ps in poi for pid in ps] or [], dtype=np.int32
-        )
+        np.cumsum(np.bincount(inc_index, minlength=n), out=self.poi_indptr[1:])
+        self.inc_index = inc_index[by_index]
+        pairs = np.unique(inc_index * m + self.plan_query[inc_plan])
+        self.pair_x, self.pair_q = pairs // m, pairs % m
+        self.qx_indptr = np.searchsorted(self.pair_x, np.arange(n + 1))
+        self.pair_of = np.full((n, m), -1, dtype=np.int64)
+        self.pair_of[self.pair_x, self.pair_q] = np.arange(len(pairs))
+        by_query = np.argsort(self.plan_query, kind="stable")
+        q_indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.plan_query, minlength=m), out=q_indptr[1:])
+        at, pair = _ranges(q_indptr[self.pair_q], q_indptr[self.pair_q + 1])
+        plan = by_query[at]
+        keep = ~(members[plan] == self.pair_x[pair][:, None]).any(axis=1)
+        self.xq_pair, self.xq_plan = pair[keep], plan[keep]
+        # xq_cell + qL[plan]: the flat position of (pair, column qL + 1)
+        # in a (pairs, n + 1) table.
+        self.xq_cell = self.xq_pair * (n + 1) + 1
+        self.xq_rank = self.plan_rank[self.xq_plan]
         self.ctime = np.array(
             [ix.create_cost for ix in instance.indexes], dtype=np.float64
         )
@@ -136,30 +174,17 @@ class FlatInstance:
             [q.weight for q in instance.queries], dtype=np.float64
         )
         self.cs = np.zeros((n, n), dtype=np.float64)
-        tgt: List[int] = []
-        hlp: List[int] = []
-        sav: List[float] = []
-        for target in range(n):
-            for helper, saving in instance.build_helpers(target):
-                self.cs[target, helper] = max(self.cs[target, helper], saving)
-                tgt.append(target)
-                hlp.append(helper)
-                sav.append(saving)
-        self.itgt = np.array(tgt, dtype=np.int32)
-        self.ihlp = np.array(hlp, dtype=np.int32)
-        self.isav = np.array(sav, dtype=np.float64)
-        # queries touched by each index (through any of its plans).
-        self.queries_of_index: List[List[int]] = [
-            sorted({int(self.plan_query[pid]) for pid in poi[i]})
-            for i in range(n)
+        triples = [
+            (target, helper, saving)
+            for target in range(n)
+            for helper, saving in instance.build_helpers(target)
         ]
-        self.engine = EvalEngine(instance)
-
-    def plans_of(self, index_id: int):
-        """CSR slice of plan ids containing ``index_id``."""
-        return self.poi_flat[
-            self.poi_indptr[index_id] : self.poi_indptr[index_id + 1]
-        ]
+        for target, helper, saving in triples:
+            self.cs[target, helper] = max(self.cs[target, helper], saving)
+        self.itgt = np.array([t for t, _, _ in triples], dtype=np.int64)
+        self.ihlp = np.array([h for _, h, _ in triples], dtype=np.int64)
+        self.isav = np.array([s for _, _, s in triples], dtype=np.float64)
+        self.cursor = PrefixCursor(EvalEngine(instance))
 
 
 def precedence_matrix(constraints, n: int):
@@ -221,524 +246,294 @@ def swap_feasibility_mask(order, constraints, scalar_check=None):
     return feasible
 
 
-def relocate_feasibility_mask(order, src, constraints, scalar_check=None):
-    """Length-``n`` bool vector: is relocating ``order[src]`` to ``dst`` ok."""
-    n = len(order)
-    if constraints is None:
-        return np.ones(n, dtype=bool)
-    orderv = np.asarray(order, dtype=np.int64)
-    B = precedence_matrix(constraints, n)
-    x = int(order[src])
-    feasible = np.ones(n, dtype=bool)
-    # forward: x may not jump over a required successor
-    ahead = B[x][orderv]  # x must precede order[t]
-    blocked = np.logical_or.accumulate(
-        np.concatenate([np.zeros(src + 1, dtype=bool), ahead[src + 1 :]])
-    )
-    feasible &= ~blocked
-    # backward: x may not jump over a required predecessor
-    behind = B[:, x][orderv]  # order[t] must precede x
-    rev = np.zeros(n, dtype=bool)
-    rev[:src] = behind[:src]
-    blocked_back = np.logical_or.accumulate(rev[::-1])[::-1]
-    feasible &= ~blocked_back
-    if constraints.consecutive_pairs and scalar_check is not None:
-        for dst in range(n):
-            if feasible[dst]:
-                feasible[dst] = scalar_check(order, src, dst, constraints)
-    return feasible
-
-
 # ----------------------------------------------------------------------
-# Per-base precomputation
-# ----------------------------------------------------------------------
-class _SwapBase:
-    """Everything the kernels precompute for one base order."""
-
-    def __init__(self, flat: FlatInstance, order: Sequence[int]) -> None:
-        n, m, P = flat.n, flat.n_queries, flat.n_plans
-        self.flat = flat
-        self.order = np.asarray(order, dtype=np.int64)
-        self.pos = np.empty(n, dtype=np.int64)
-        self.pos[self.order] = np.arange(n)
-        pos = self.pos
-
-        # --- base trajectory through the deployment primitive ---------
-        # One undo record per step holds the objective and runtime
-        # entering it and the plans that raised a query's best speed-up.
-        state = DeployState(flat.engine)
-        records: List[tuple] = []
-        state.deploy([int(i) for i in self.order], records)
-        self.P = np.array([rec[0] for rec in records] + [state.objective])
-        self.R0 = np.array([rec[1] for rec in records] + [state.runtime])
-        self.objective = state.objective
-        # QB0[k] = per-query best speed-up entering step k; qbest only
-        # rises, so a running max over the recorded raises rebuilds it.
-        QB0 = np.zeros((n + 1, m))
-        # per-query support-change records: (q -> [(k_active_from, plan)])
-        supp_events: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-        plan_query = flat.plan_query
-        plan_speedup = flat.plan_speedup
-        for k, (_, _, raised) in enumerate(records):
-            for pid, _previous in raised:
-                q = int(plan_query[pid])
-                QB0[k + 1, q] = plan_speedup[pid]
-                supp_events[q].append((k + 1, pid))
-        np.maximum.accumulate(QB0, axis=0, out=QB0)
-        # Best build-helper saving per step (first helper id on ties).
-        built_before = pos[None, :] < np.arange(n)[:, None]
-        available = np.where(built_before, flat.cs[self.order], 0.0)
-        sx0 = available.max(axis=1)
-        argh = np.where(sx0 > 0.0, available.argmax(axis=1), -1)
-        cost0 = flat.ctime[self.order] - sx0
-        self.QB0, self.cost0, self.sx0, self.argh = QB0, cost0, sx0, argh
-        qweight = flat.qweight
-
-        # --- hs[i, k]: best helper saving for i among positions < k --
-        hs = np.zeros((n, n + 1))
-        for t, h, s in zip(flat.itgt, flat.ihlp, flat.isav):
-            lo = int(pos[h]) + 1
-            np.maximum(hs[t, lo:], s, out=hs[t, lo:])
-        self.hs = hs
-
-        # --- plan completion data ------------------------------------
-        mem = flat.plan_members
-        mem_pos = np.where(mem >= 0, pos[np.clip(mem, 0, None)], -1)
-        qL = mem_pos.max(axis=1)  # completion position per plan
-        masked = np.where(mem_pos == qL[:, None], -1, mem_pos)
-        q2 = masked.max(axis=1)  # second-last member position (-1 if 1)
-        self.plan_qL, self.plan_q2 = qL, q2
-
-        # completion events per query (CSR, sorted by position) — used
-        # to rebuild a query's x-removed qbest trajectory per row.
-        qsort = np.lexsort((qL, plan_query))
-        self.evq_plan = qsort.astype(np.int64)
-        self.evq_pos = qL[qsort]
-        self.evq_s = plan_speedup[qsort]
-        self.evq_indptr = np.searchsorted(
-            plan_query[qsort], np.arange(m + 1)
-        )
-
-        # --- deviation cells -----------------------------------------
-        # Group plans by (row = qL, query); within a group, sort by q2
-        # and emit one cell per (segment step k), value = prefix-max A.
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        for pid in range(P):
-            groups.setdefault((int(qL[pid]), int(plan_query[pid])), []).append(
-                pid
-            )
-        ck_l: List[np.ndarray] = []
-        crow_l: List[np.ndarray] = []
-        cq_l: List[np.ndarray] = []
-        cA_l: List[np.ndarray] = []
-        ncell_so_far = 0
-        # per-x overrides as contiguous cell-id ranges:
-        # x -> list of (first_cell, last_cell_exclusive, A_excl_x)
-        seg_over: Dict[int, List[Tuple[int, int, float]]] = {}
-        grow_l: List[int] = []
-        gq_l: List[int] = []
-        gA_l: List[float] = []
-        self.group_plans: Dict[Tuple[int, int], List[int]] = groups
-        g_over: Dict[int, List[Tuple[int, float]]] = {}
-        speed = plan_speedup
-        pmembers = [
-            frozenset(int(v) for v in mem[pid] if v >= 0) for pid in range(P)
-        ]
-        for (row, q), pids in groups.items():
-            pids.sort(key=lambda pid: int(q2[pid]))
-            gi = len(grow_l)
-            grow_l.append(row)
-            gq_l.append(q)
-            g_max = max(float(speed[pid]) for pid in pids)
-            gA_l.append(g_max)
-            memset = frozenset().union(*(pmembers[pid] for pid in pids))
-            for x in memset:
-                excl = [
-                    float(speed[pid])
-                    for pid in pids
-                    if x not in pmembers[pid]
-                ]
-                a_excl = max(excl) if excl else 0.0
-                if a_excl != g_max:
-                    g_over.setdefault(x, []).append((gi, a_excl))
-            # segments over k in (q2_j, next boundary]
-            bounds = [int(q2[pid]) for pid in pids] + [int(row)]
-            pref = 0.0
-            active: List[int] = []
-            for j, pid in enumerate(pids):
-                pref = max(pref, float(speed[pid]))
-                active.append(pid)
-                lo = bounds[j] + 1
-                hi = min(bounds[j + 1], row - 1) if j + 1 < len(pids) else row - 1
-                if lo > hi:
-                    continue
-                first_cell = ncell_so_far
-                count = hi - lo + 1
-                ck_l.append(np.arange(lo, hi + 1, dtype=np.int64))
-                crow_l.append(np.full(count, row, dtype=np.int64))
-                cq_l.append(np.full(count, q, dtype=np.int64))
-                cA_l.append(np.full(count, pref))
-                ncell_so_far += count
-                # corrections: members of any active plan that attains
-                # the prefix max; excluding their plans changes A.
-                actset = frozenset().union(
-                    *(pmembers[apid] for apid in active)
-                )
-                for x in actset:
-                    excl = [
-                        float(speed[apid])
-                        for apid in active
-                        if x not in pmembers[apid]
-                    ]
-                    a_excl = max(excl) if excl else 0.0
-                    if a_excl != pref:
-                        seg_over.setdefault(x, []).append(
-                            (first_cell, ncell_so_far, a_excl)
-                        )
-        if ck_l:
-            self.ck = np.concatenate(ck_l)
-            self.crow = np.concatenate(crow_l)
-            self.cq = np.concatenate(cq_l)
-            self.cA = np.concatenate(cA_l)
-        else:
-            self.ck = np.zeros(0, dtype=np.int64)
-            self.crow = np.zeros(0, dtype=np.int64)
-            self.cq = np.zeros(0, dtype=np.int64)
-            self.cA = np.zeros(0)
-        self.grow = np.array(grow_l, dtype=np.int64)
-        self.gq = np.array(gq_l, dtype=np.int64)
-        self.gA = np.array(gA_l, dtype=np.float64)
-        ncell = len(self.ck)
-        if ncell:
-            self.valbase = (
-                qweight[self.cq]
-                * np.maximum(self.cA - QB0[self.ck, self.cq], 0.0)
-                * cost0[self.ck]
-            )
-            Mflat = np.bincount(
-                self.crow * n + self.ck, weights=self.valbase, minlength=n * n
-            )
-            self.M = Mflat.reshape(n, n)
-        else:
-            self.valbase = np.zeros(0)
-            self.M = np.zeros((n, n))
-        self.CUMM = np.cumsum(self.M, axis=1)
-        self.rowtot = self.M.sum(axis=1)
-        if len(self.grow):
-            self.gvalbase = qweight[self.gq] * np.maximum(
-                self.gA - QB0[self.grow, self.gq], 0.0
-            )
-            self.DR0 = np.bincount(
-                self.grow, weights=self.gvalbase, minlength=n
-            )
-        else:
-            self.gvalbase = np.zeros(0)
-            self.DR0 = np.zeros(n)
-
-        # --- per-x correction id/value arrays ------------------------
-        # (a) steps where x supported the base qbest of some query;
-        # (b) cells/groups whose running max involves an x-plan;
-        # (c) steps where x was the best build helper (cost0 != costx).
-        empty_i = np.zeros(0, dtype=np.int64)
-        cell_sort = np.lexsort((self.ck, self.cq)) if ncell else empty_i
-        cq_sorted = self.cq[cell_sort] if ncell else empty_i
-        ck_sorted = self.ck[cell_sort] if ncell else empty_i
-        q_starts = np.searchsorted(cq_sorted, np.arange(m + 1))
-        ksort = np.argsort(self.ck, kind="stable") if ncell else empty_i
-        ck_by_k = self.ck[ksort] if ncell else empty_i
-        k_starts = np.searchsorted(ck_by_k, np.arange(n + 1))
-        ngroups = len(self.grow)
-        gsort = np.lexsort((self.grow, self.gq)) if ngroups else empty_i
-        gq_sorted = self.gq[gsort] if ngroups else empty_i
-        grow_sorted = self.grow[gsort] if ngroups else empty_i
-        gq_starts = np.searchsorted(gq_sorted, np.arange(m + 1))
-        supp_by_x: Dict[int, List[Tuple[int, int, int]]] = {}
-        for q in range(m):
-            events = supp_events[q]
-            for idx, (k_from, pid) in enumerate(events):
-                k_to = (
-                    events[idx + 1][0] - 1 if idx + 1 < len(events) else n
-                )
-                for x in pmembers[pid]:
-                    supp_by_x.setdefault(x, []).append((q, k_from, k_to))
-        argh_pos: Dict[int, List[int]] = {}
-        for k in range(n):
-            if argh[k] >= 0:
-                argh_pos.setdefault(int(argh[k]), []).append(k)
-        self.argh_pos = argh_pos
-        self.xc_ids: List[np.ndarray] = []
-        self.xc_A: List[np.ndarray] = []
-        self.xg_ids: List[np.ndarray] = []
-        self.xg_A: List[np.ndarray] = []
-        for x in range(n):
-            parts: List[np.ndarray] = []
-            for q, k_from, k_to in supp_by_x.get(x, ()):  # (a)
-                lo, hi = q_starts[q], q_starts[q + 1]
-                sub = ck_sorted[lo:hi]
-                c0 = lo + np.searchsorted(sub, k_from)
-                c1 = lo + np.searchsorted(sub, k_to, side="right")
-                parts.append(cell_sort[c0:c1])
-            for k in argh_pos.get(x, ()):  # (c)
-                parts.append(ksort[k_starts[k] : k_starts[k + 1]])
-            overrides = seg_over.get(x, ())  # (b)
-            ov_ids = (
-                np.concatenate(
-                    [np.arange(f, l, dtype=np.int64) for f, l, _ in overrides]
-                )
-                if overrides
-                else empty_i
-            )
-            ov_vals = (
-                np.concatenate(
-                    [np.full(l - f, a) for f, l, a in overrides]
-                )
-                if overrides
-                else np.zeros(0)
-            )
-            parts.append(ov_ids)
-            ids = np.concatenate(parts) if parts else empty_i
-            if len(ids):
-                uids = np.unique(ids)
-                avals = self.cA[uids].copy()
-                if len(ov_ids):
-                    avals[np.searchsorted(uids, ov_ids)] = ov_vals
-                self.xc_ids.append(uids)
-                self.xc_A.append(avals)
-            else:
-                self.xc_ids.append(empty_i)
-                self.xc_A.append(np.zeros(0))
-            gparts: List[np.ndarray] = []
-            for q, k_from, k_to in supp_by_x.get(x, ()):
-                lo, hi = gq_starts[q], gq_starts[q + 1]
-                sub = grow_sorted[lo:hi]
-                c0 = lo + np.searchsorted(sub, k_from)
-                c1 = lo + np.searchsorted(sub, k_to, side="right")
-                gparts.append(gsort[c0:c1])
-            gover = g_over.get(x, ())
-            gov_ids = np.array([gi for gi, _ in gover], dtype=np.int64)
-            gov_vals = np.array([a for _, a in gover])
-            gparts.append(gov_ids)
-            gids = np.concatenate(gparts) if gparts else empty_i
-            if len(gids):
-                ugids = np.unique(gids)
-                gvals = self.gA[ugids].copy()
-                if len(gov_ids):
-                    gvals[np.searchsorted(ugids, gov_ids)] = gov_vals
-                self.xg_ids.append(ugids)
-                self.xg_A.append(gvals)
-            else:
-                self.xg_ids.append(empty_i)
-                self.xg_A.append(np.zeros(0))
-
-        # interaction positions for the "y helps a window step" patches
-        self.ikpos = pos[flat.itgt]
-        self.ibpos = pos[flat.ihlp]
-
-    # ------------------------------------------------------------------
-    def _x_removed_baseline(self, a: int):
-        """x-removed trajectory pieces for the row at position ``a``.
-
-        Returns ``(Rminus, costx, sxv, qcols)``: runtime entering each
-        step with ``x = order[a]`` deleted, the matching step costs and
-        best-helper savings, and the rebuilt qbest columns for the
-        queries that touch ``x``.
-        """
-        flat = self.flat
-        n, x = flat.n, int(self.order[a])
-        qcols: Dict[int, np.ndarray] = {}
-        Rminus = self.R0.copy()
-        for q in flat.queries_of_index[x]:
-            lo, hi = self.evq_indptr[q], self.evq_indptr[q + 1]
-            plans = self.evq_plan[lo:hi]
-            keep = ~(flat.plan_members[plans] == x).any(axis=1)
-            col = np.zeros(n + 2)
-            if keep.any():
-                np.maximum.at(
-                    col, self.evq_pos[lo:hi][keep] + 1, self.evq_s[lo:hi][keep]
-                )
-            np.maximum.accumulate(col, out=col)
-            col = col[: n + 1]
-            qcols[q] = col
-            Rminus += flat.qweight[q] * (self.QB0[:, q] - col)
-        costx = self.cost0
-        sxv = self.sx0
-        patched = self.argh_pos.get(x)
-        if patched:
-            costx = costx.copy()
-            sxv = sxv.copy()
-            for k in patched:
-                i = int(self.order[k])
-                row = flat.cs[i]
-                best = 0.0
-                for h in np.nonzero(row)[0]:
-                    if h != x and self.pos[h] < k and row[h] > best:
-                        best = float(row[h])
-                sxv[k] = best
-                costx[k] = flat.ctime[i] - best
-        return Rminus, costx, sxv, qcols
-
-    def _qb_at(self, ks, qs, qcols):
-        """x-removed qbest at (step, query) pairs, vectorized."""
-        vals = self.QB0[ks, qs]
-        for q, col in qcols.items():
-            mask = qs == q
-            if mask.any():
-                vals[mask] = col[ks[mask]]
-        return vals
-
-
-# ----------------------------------------------------------------------
-# The numpy kernels
+# The numpy swap kernel
 # ----------------------------------------------------------------------
 class BatchNeighborhood:
-    """Batch move-scoring bound to one base order of one instance."""
+    """Batch swap scoring bound to one base order of one instance.
+
+    The constructor computes everything that depends on the base order
+    alone (trajectory, groups, cells); :meth:`score_swap_neighborhood`
+    adds what depends on the row's removed index ``x``, for all rows at
+    once, by re-scoring two sparse cell sets: cells at a *diff entry*
+    (a query and step where removing ``x`` lowers the query's best
+    speed-up) and cells of groups holding an x-plan whose running best
+    drops without it.  Array names: ``k`` is a step (position), ``b`` a
+    group's completion position, ``q`` a query, and a ``(n, n)`` matrix
+    is indexed ``[a, b]`` or ``[b, k]`` as its comment says.
+    """
 
     def __init__(self, flat: FlatInstance, order: Sequence[int]) -> None:
+        n, m = flat.n, flat.n_queries
+        table = flat.speed_table
         self.flat = flat
-        self.base = _SwapBase(flat, order)
+        self.order = order = np.asarray(order, dtype=np.int64)
+        self.pos = pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+
+        # --- base trajectory through the deployment primitive ---------
+        # The shared cursor re-deploys only the suffix after the prefix
+        # this base has in common with the previous one.
+        cursor = flat.cursor
+        cursor.align([int(i) for i in order])
+        self.P = np.array(cursor.prefix_objectives())
+        self.R0 = np.array(cursor.prefix_runtimes())
+        self.objective = cursor.objective
+
+        # --- plan completion: last (qL) and second-last (q2) member ---
+        mem = flat.plan_members
+        mem_pos = np.where(mem >= 0, pos[mem], -1)
+        self.qL = qL = mem_pos.max(axis=1)
+        q2 = np.where(mem_pos == qL[:, None], -1, mem_pos).max(axis=1)
+        # QB0r[q, k] = rank of query q's best speed-up entering step k,
+        # and QB0 the speed-up itself.
+        self.QB0r = QBr = np.zeros((m, n + 1), dtype=np.int64)
+        np.maximum.at(
+            QBr.reshape(-1), flat.plan_query * (n + 1) + qL + 1, flat.plan_rank
+        )
+        np.maximum.accumulate(QBr, axis=1, out=QBr)
+        self.QB0 = QB = table[QBr]
+
+        # --- build costs: best helper per step, and the runner-up ----
+        available = np.where(
+            pos[None, :] < np.arange(n)[:, None], flat.cs[order], 0.0
+        )
+        sx0 = available.max(axis=1)
+        argh = np.where(sx0 > 0.0, available.argmax(axis=1), -1)
+        self.help_steps = steps = np.flatnonzero(argh >= 0)
+        self.help_rows = pos[argh[steps]]
+        available[steps, argh[steps]] = 0.0
+        self.sx0, self.sx2 = sx0, available.max(axis=1)
+        self.cost0 = flat.ctime[order] - sx0
+        # hs[i, k] = best saving for i from helpers at positions < k.
+        self.hs = hs = np.zeros((n, n + 1))
+        np.maximum.at(
+            hs.reshape(-1), flat.itgt * (n + 1) + pos[flat.ihlp] + 1, flat.isav
+        )
+        np.maximum.accumulate(hs, axis=1, out=hs)
+
+        # --- groups: plans sorted by (qL, query, q2) ------------------
+        n_plans = flat.n_plans
+        self.srt = srt = np.lexsort((q2, flat.plan_query, qL))
+        q_s, self.b_s = flat.plan_query[srt], qL[srt]
+        self.q2s = q2[srt]
+        first = np.ones(n_plans, dtype=bool)
+        first[1:] = (self.b_s[1:] != self.b_s[:-1]) | (q_s[1:] != q_s[:-1])
+        self.gp_lo = np.flatnonzero(first)
+        self.gp_hi = np.append(self.gp_lo, n_plans)[1:]
+        gid_s = np.cumsum(first) - 1
+        self.gid = np.empty(n_plans, dtype=np.int64)
+        self.gid[srt] = gid_s
+        self.grow, self.gq = self.b_s[self.gp_lo], q_s[self.gp_lo]
+        self.n_groups = G = len(self.gp_lo)
+        # Running best speed-up rank within each group, in q2 order;
+        # plan s sets it over steps q2s[s] < k <= seg_hi[s] (up to the
+        # next plan's q2, or b - 1 for the group's last plan).
+        run = np.maximum.accumulate(flat.plan_rank[srt] + gid_s * len(table))
+        self.run = run - gid_s * len(table)
+        self.gA0 = table[self.run[self.gp_hi - 1]]
+        last_plan = np.zeros(n_plans, dtype=bool)
+        last_plan[self.gp_hi - 1] = True
+        self.seg_hi = np.where(last_plan, self.b_s - 1, np.append(self.q2s[1:], 0))
+
+        # --- cells: (group, step) where y = order[b] completes early --
+        ck, cplan = _ranges(self.q2s + 1, self.seg_hi + 1)
+        cb, cq = self.b_s[cplan], q_s[cplan]
+        cA0 = table[self.run[cplan]]
+        d0 = flat.qweight[cq] * np.maximum(cA0 - QB[cq, ck], 0.0)
+        keys = cb * n + ck
+        # M[b, k] = cost-weighted deviation, D0[b, k] the same without
+        # the cost; CUMM/rowtot give each row's suffix in O(1).
+        M = np.bincount(keys, weights=d0 * self.cost0[ck], minlength=n * n)
+        self.D0 = np.bincount(keys, weights=d0, minlength=n * n).reshape(n, n)
+        self.CUMM = np.cumsum(M.reshape(n, n), axis=1)
+        self.rowtot = self.CUMM[:, -1]
+        # Retire-step drop at k = b from each group completing early.
+        self.gd0 = flat.qweight[self.gq] * np.maximum(
+            self.gA0 - QB[self.gq, self.grow], 0.0
+        )
+        self.DR0 = np.bincount(self.grow, weights=self.gd0, minlength=n)
+        # Cells by (query, step), best running speed-up first, as CSR;
+        # qk_key finds the cells whose speed-up beats a given rank.
+        qk = cq * (n + 1) + ck
+        key = qk * len(table) + (len(table) - 1 - self.run[cplan])
+        by_qk = np.argsort(key)
+        self.qk_key = key[by_qk]
+        self.qk_b, self.qk_A0, self.qk_d0 = cb[by_qk], cA0[by_qk], d0[by_qk]
+        self.qk_start = np.zeros(m * (n + 1) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(qk, minlength=m * (n + 1)), out=self.qk_start[1:])
+        self.group_at = np.full(m * (n + 1), -1, dtype=np.int64)
+        self.group_at[self.gq * (n + 1) + self.grow] = np.arange(G)
+
+        # --- interactions whose helper comes after its target ---------
+        kpos, bpos = pos[flat.itgt], pos[flat.ihlp]
+        ahead = bpos > kpos
+        self.ikpos, self.ibpos = kpos[ahead], bpos[ahead]
+        self.isav = flat.isav[ahead]
+        # Compact ids of the (b, k) cells those interactions touch.
+        self.patch_keys = np.unique(self.ibpos * n + self.ikpos)
+        self.patch_id = np.full(n * n, -1, dtype=np.int64)
+        self.patch_id[self.patch_keys] = np.arange(len(self.patch_keys))
 
     @property
     def base_objective(self) -> float:
-        return self.base.objective
+        return self.objective
 
-    # -- swaps ----------------------------------------------------------
-    def score_swap_row(self, a: int):
-        """Objectives of swapping position ``a`` with every ``b > a``."""
-        sb, flat = self.base, self.flat
-        n = flat.n
-        if a >= n - 1:
-            return np.zeros(0)
-        x = int(sb.order[a])
-        Rminus, costx, sxv, qcols = sb._x_removed_baseline(a)
-        CC = np.concatenate(([0.0], np.cumsum(Rminus[:n] * costx)))
-        bidx = np.arange(a + 1, n)
-        yv = sb.order[bidx]
-
-        # deviation-window term: base cells + per-x corrections
-        SUFa = sb.rowtot - sb.CUMM[:, a]
-        DCW = SUFa[bidx].copy()
-        ids = sb.xc_ids[x]
-        pcm = None
-        if len(ids):
-            ckI, cqI, crowI = sb.ck[ids], sb.cq[ids], sb.crow[ids]
-            qv = sb._qb_at(ckI, cqI, qcols)
-            valn = (
-                flat.qweight[cqI]
-                * np.maximum(sb.xc_A[x] - qv, 0.0)
-                * costx[ckI]
-            )
-            corr = np.where(ckI > a, valn - sb.valbase[ids], 0.0)
-            DCW += np.bincount(crowI, weights=corr, minlength=n)[bidx]
-            pcm = np.bincount(
-                crowI * n + ckI, weights=corr, minlength=n * n
-            ).reshape(n, n)
-
-        # retire-step deviation (the completed-early drop at k = b)
-        DR = sb.DR0.copy()
-        gids = sb.xg_ids[x]
-        if len(gids):
-            growI, gqI = sb.grow[gids], sb.gq[gids]
-            gqv = sb._qb_at(growI, gqI, qcols)
-            gvaln = flat.qweight[gqI] * np.maximum(sb.xg_A[x] - gqv, 0.0)
-            DR += np.bincount(
-                growI, weights=gvaln - sb.gvalbase[gids], minlength=n
-            )
-        Rb = Rminus[bidx] - DR[bidx]
-
-        cost_y = flat.ctime[yv] - sb.hs[yv, a]
-        retire_cost = flat.ctime[x] - np.maximum(
-            sb.hs[x, bidx], flat.cs[x, yv]
-        )
-        O = (
-            sb.P[a]
-            + sb.R0[a] * cost_y
-            + (CC[bidx] - CC[a + 1])
-            - DCW
-            + Rb * retire_cost
-            + sb.P[n]
-            - sb.P[bidx + 1]
-        )
-
-        # sparse "y is a build helper inside the window" cost patches
-        karr, barr = sb.ikpos, sb.ibpos
-        pmask = (karr > a) & (barr > karr)
-        if pmask.any():
-            kk = karr[pmask]
-            bb = barr[pmask]
-            gain = np.maximum(flat.isav[pmask] - sxv[kk], 0.0)
-            S = sb.M[bb, kk] + (pcm[bb, kk] if pcm is not None else 0.0)
-            delta = S / costx[kk]
-            pv = -gain * (Rminus[kk] - delta)
-            O += np.bincount(bb - (a + 1), weights=pv, minlength=n - a - 1)
-        return O
-
+    # ------------------------------------------------------------------
     def score_swap_neighborhood(self):
         """Full ``(n, n)`` objective matrix for all pairwise swaps."""
-        n = self.flat.n
-        O = np.full((n, n), self.base.objective)
-        for a in range(n - 1):
-            row = self.score_swap_row(a)
-            O[a, a + 1 :] = row
-            O[a + 1 :, a] = row
-        return O
+        flat, n, G = self.flat, self.flat.n, self.n_groups
+        order, pos, ctime, qweight = self.order, self.pos, flat.ctime, flat.qweight
+        table = flat.speed_table
 
-    # -- inserts --------------------------------------------------------
-    def score_insert_neighborhood(self, index_id: int):
-        """Objectives of relocating ``index_id`` to every position."""
-        sb, flat = self.base, self.flat
-        n = flat.n
-        x = int(index_id)
-        src = int(sb.pos[x])
-        O = np.full(n, sb.objective)
-        # forward: remove x at src, re-insert after dst
-        if src < n - 1:
-            Rminus, costx, _, _ = sb._x_removed_baseline(src)
-            CC = np.concatenate(([0.0], np.cumsum(Rminus[:n] * costx)))
-            d = np.arange(src + 1, n)
-            O[d] = (
-                sb.P[src]
-                + (CC[d + 1] - CC[src + 1])
-                + Rminus[d + 1] * (flat.ctime[x] - sb.hs[x, d + 1])
-                + sb.P[n]
-                - sb.P[d + 1]
+        # --- x-removed best speed-up ranks, one row per (index, query)
+        # pair: QBX[j, k] is pair j's query entering step k once its
+        # index is removed; it differs from QB0r only at diff entries.
+        QBX = np.zeros((len(flat.pair_x), n + 1), dtype=np.int64)
+        np.maximum.at(
+            QBX.reshape(-1), flat.xq_cell + self.qL[flat.xq_plan], flat.xq_rank
+        )
+        np.maximum.accumulate(QBX, axis=1, out=QBX)
+        dj, dk = np.nonzero(QBX[:, :n] < self.QB0r[flat.pair_q, :n])
+        dr = QBX[dj, dk]
+        dv = table[dr]
+        da, dq = pos[flat.pair_x[dj]], flat.pair_q[dj]
+        qk = dq * (n + 1) + dk
+        # Rm[a, k]: runtime entering step k with order[a] removed.
+        Rm = self.R0[None, :n] + np.bincount(
+            da * n + dk,
+            weights=qweight[dq] * (self.QB0[dq, dk] - dv),
+            minlength=n * n,
+        ).reshape(n, n)
+        # costx[a, k] / sxv[a, k]: step cost and best helper saving.
+        steps, rows = self.help_steps, self.help_rows
+        costx = np.repeat(self.cost0[None, :], n, axis=0)
+        costx[rows, steps] = ctime[order[steps]] - self.sx2[steps]
+        sxv = np.repeat(self.sx0[None, :], n, axis=0)
+        sxv[rows, steps] = self.sx2[steps]
+        CC = np.zeros((n, n + 1))
+        np.cumsum(Rm * costx, axis=1, out=CC[:, 1:])
+
+        # --- cells at a diff entry, re-scored at the lowered best ------
+        # (only cells whose running best beats it can change)
+        cell, entry = _ranges(
+            self.qk_start[qk],
+            np.searchsorted(self.qk_key, qk * len(table) + len(table) - 1 - dr),
+        )
+        e_d = (
+            qweight[dq[entry]] * np.maximum(self.qk_A0[cell] - dv[entry], 0.0)
+            - self.qk_d0[cell]
+        )
+        a_d, b_d, k_d = da[entry], self.qk_b[cell], dk[entry]
+        # ... and the group completing at that step, if any.
+        gd = self.group_at[qk]
+        has = gd >= 0
+        ge_d = (
+            qweight[dq[has]] * np.maximum(self.gA0[gd[has]] - dv[has], 0.0)
+            - self.gd0[gd[has]]
+        )
+
+        # --- groups holding an x-plan, where their running best drops -
+        keep = self.qL[flat.poi_flat] > pos[flat.inc_index]
+        s1 = np.unique(
+            pos[flat.inc_index[keep]] * G + self.gid[flat.poi_flat[keep]]
+        )
+        s1a, s1g = s1 // G, s1 % G
+        sp, pair = _ranges(self.gp_lo[s1g], self.gp_hi[s1g])
+        plan = self.srt[sp]
+        has_x = (flat.plan_members[plan] == order[s1a[pair], None]).any(1)
+        run = np.maximum.accumulate(
+            np.where(has_x, 0, flat.plan_rank[plan]) + pair * len(table)
+        )
+        run -= pair * len(table)
+        moved = run != self.run[sp]
+        j1 = flat.pair_of[order[s1a], self.gq[s1g]]
+        # Cells of each moved plan's segment, from step a + 1 on; the
+        # diff-entry term already re-scored them at the lowered best, so
+        # this adds only the change in the running best.
+        mo, mat = pair[moved], sp[moved]
+        k_g, own = _ranges(
+            np.maximum(self.q2s[mat] + 1, s1a[mo] + 1), self.seg_hi[mat] + 1
+        )
+        mo, mat = mo[own], mat[own]
+        qv = table[QBX[j1[mo], k_g]]
+        e_g = qweight[self.gq[s1g[mo]]] * (
+            np.maximum(table[run[moved]][own] - qv, 0.0)
+            - np.maximum(table[self.run[mat]] - qv, 0.0)
+        )
+        a_g, b_g = s1a[mo], self.b_s[mat]
+        ends = np.cumsum(self.gp_hi[s1g] - self.gp_lo[s1g]) - 1
+        ch = moved[ends]
+        rv = table[QBX[j1[ch], self.grow[s1g[ch]]]]
+        ge_g = qweight[self.gq[s1g[ch]]] * (
+            np.maximum(table[run[ends[ch]]] - rv, 0.0)
+            - np.maximum(self.gA0[s1g[ch]] - rv, 0.0)
+        )
+
+        # --- deviation-window and retire-step corrections --------------
+        # Each re-scored cell (row a, group row b, step k, change e)
+        # moves the row's window deviation; EX keeps the cost-free
+        # change at the cells a build-helper patch reads.
+        npatch = len(self.patch_keys)
+        corr = np.zeros(n * n)
+        EX = np.zeros(n * npatch)
+        for ca, cb, ck, e in ((a_g, b_g, k_g, e_g), (a_d, b_d, k_d, e_d)):
+            corr += np.bincount(
+                ca * n + cb,
+                weights=e * costx.reshape(-1)[ca * n + ck],
+                minlength=n * n,
             )
-        # backward: insert x early at dst < src
-        if src > 0:
-            Dx = np.zeros(n + 1)
-            events: Dict[int, List[Tuple[int, float]]] = {}
-            for pid in sb.flat.plans_of(x):
-                pid = int(pid)
-                others = [
-                    int(v) for v in flat.plan_members[pid] if v >= 0 and v != x
-                ]
-                k_from = (
-                    max(int(sb.pos[o]) for o in others) + 1 if others else 0
-                )
-                q = int(flat.plan_query[pid])
-                events.setdefault(q, []).append(
-                    (k_from, float(flat.plan_speedup[pid]))
-                )
-            for q, evs in events.items():
-                col = np.zeros(n + 2)
-                for k_from, s in evs:
-                    col[k_from] = max(col[k_from], s)
-                np.maximum.accumulate(col, out=col)
-                Dx += flat.qweight[q] * np.maximum(
-                    col[: n + 1] - sb.QB0[:, q], 0.0
-                )
-            sl = sb.order[:src]
-            cpv = sb.cost0[:src] - np.maximum(
-                flat.cs[sl, x] - sb.sx0[:src], 0.0
+            pid = self.patch_id[cb * n + ck]
+            hit = pid >= 0
+            EX += np.bincount(
+                ca[hit] * npatch + pid[hit], weights=e[hit], minlength=n * npatch
             )
-            term = (sb.R0[:src] - Dx[:src]) * cpv
-            TT = np.cumsum(term)
-            d = np.arange(src)
-            tail = TT[src - 1] - np.where(d > 0, TT[d - 1], 0.0)
-            O[d] = (
-                sb.P[d]
-                + sb.R0[d] * (flat.ctime[x] - sb.hs[x, d])
-                + tail
-                + sb.P[n]
-                - sb.P[src + 1]
-            )
-        return O
+        corr = corr.reshape(n, n)
+        # Steps where x was the best helper: every cell there is costed
+        # at costx instead of cost0.
+        np.add.at(
+            corr,
+            rows,
+            (costx[rows, steps] - self.cost0[steps])[:, None]
+            * self.D0[:, steps].T,
+        )
+        DCW = (self.rowtot[:, None] - self.CUMM).T + corr  # [a, b]
+        ra = np.concatenate((s1a[ch], da[has]))
+        rb = np.concatenate((self.grow[s1g[ch]], dk[has]))
+        DR = self.DR0[None, :] + np.bincount(
+            ra * n + rb, weights=np.concatenate((ge_g, ge_d)), minlength=n * n
+        ).reshape(n, n)
+
+        # --- assemble [a, b] -------------------------------------------
+        hso = self.hs[order, :n]  # hso[i, k] = hs[order[i], k]
+        cost_y = ctime[order][None, :] - hso.T
+        retire = ctime[order][:, None] - np.maximum(
+            hso, flat.cs[order][:, order]
+        )
+        diag = np.arange(n)
+        P = self.P
+        O = (
+            P[:n, None]
+            + self.R0[:n, None] * cost_y
+            + (CC[:, :n] - CC[diag, diag + 1][:, None])
+            - DCW
+            + (Rm - DR) * retire
+            + P[n]
+            - P[None, 1:]
+        )
+
+        # --- y is a build helper of a window step ----------------------
+        # The step's deviation is D0 plus this row's corrections there.
+        pa, pi = _ranges(np.zeros_like(self.ikpos), self.ikpos)
+        kk, bb = self.ikpos[pi], self.ibpos[pi]
+        gain = np.maximum(self.isav[pi] - sxv[pa, kk], 0.0)
+        delta = self.D0[bb, kk] + EX[pa * npatch + self.patch_id[bb * n + kk]]
+        O += np.bincount(
+            pa * n + bb,
+            weights=-gain * (Rm[pa, kk] - delta),
+            minlength=n * n,
+        ).reshape(n, n)
+
+        out = np.where(np.triu(np.ones((n, n), dtype=bool), 1), O, O.T)
+        np.fill_diagonal(out, self.objective)
+        return out

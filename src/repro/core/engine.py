@@ -93,7 +93,7 @@ class EngineStats:
         tt_states: Distinct built-sets recorded by transposition tables.
         tt_prunes: Search nodes pruned as transposition-dominated.
         batch_evals: Whole-neighborhood scans answered through
-            ``eval_all_swaps`` / ``eval_all_inserts`` (either kernel).
+            ``eval_all_swaps`` (either kernel).
         batch_moves: Moves scored inside numpy batch scans (the scalar
             kernel's moves count as ``delta_evals`` instead).
         batch_numpy: Batch scans executed by the numpy kernel.
@@ -294,6 +294,10 @@ class PrefixCursor(DeployState):
     def prefix_objectives(self) -> List[float]:
         """Objective after each of the first ``k`` steps, ``k = 0..depth``."""
         return [record[0] for record in self._undo] + [self.objective]
+
+    def prefix_runtimes(self) -> List[float]:
+        """Runtime after each of the first ``k`` steps, ``k = 0..depth``."""
+        return [record[1] for record in self._undo] + [self.runtime]
 
 
 class TranspositionTable:
@@ -575,7 +579,7 @@ class EvalEngine:
     # Batch neighborhood evaluation
     # ------------------------------------------------------------------
     def batch_kernel(self) -> str:
-        """The kernel ``eval_all_*`` will actually run on this instance."""
+        """The kernel ``eval_all_swaps`` will actually run on this instance."""
         from repro.core import batch
 
         return batch.resolve_kernel(self.kernel, self.n)
@@ -620,42 +624,6 @@ class EvalEngine:
         objectives = self._batch_neighborhood().score_swap_neighborhood()
         self.stats.batch_numpy += 1
         self.stats.batch_moves += n * (n - 1) // 2
-        return objectives, feasible
-
-    def eval_all_inserts(self, index_id: int, constraints=None):
-        """Score relocating ``index_id`` to every position in one pass.
-
-        Returns ``(objectives, feasible)`` vectors of length ``n``
-        (entry ``dst`` = objective of the base order with ``index_id``
-        moved to position ``dst``).  Scalar-kernel infeasible cells are
-        ``+inf``.  Requires :meth:`set_base`.
-        """
-        from repro.core import batch
-        from repro.solvers.localsearch.neighborhood import relocate_feasible
-
-        base = self._require_base()
-        n = self.n
-        try:
-            src = self._base_pos[index_id]
-        except KeyError:
-            raise ValidationError(
-                f"index {index_id} is not in the base order"
-            ) from None
-        self.stats.batch_evals += 1
-        feasible = batch.relocate_feasibility_mask(
-            base, src, constraints, relocate_feasible
-        )
-        if self.batch_kernel() == "scalar":
-            objectives = np.full(n, float("inf"))
-            for dst in range(n):
-                if feasible[dst]:
-                    objectives[dst] = self.eval_relocate(src, dst)
-            return objectives, feasible
-        objectives = self._batch_neighborhood().score_insert_neighborhood(
-            index_id
-        )
-        self.stats.batch_numpy += 1
-        self.stats.batch_moves += n
         return objectives, feasible
 
     def _require_base(self) -> Tuple[int, ...]:

@@ -169,6 +169,11 @@ class CPSearch:
                 store.assign(var, value)
             engine.propagate(store)
         except Conflict:
+            # The root is a node too: charge it, so a run of root
+            # conflicts still exhausts a node budget.
+            self.outcome.nodes += 1
+            if self.budget is not None:
+                self.budget.tick()
             self.outcome.proved = True
             return self.outcome
         self._dfs(store, engine)

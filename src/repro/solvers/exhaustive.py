@@ -23,7 +23,7 @@ consecutive (alliance) pairs force the glued successor immediately.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine, PrefixCursor
@@ -126,7 +126,6 @@ class _DFSState:
         engine: EvalEngine,
         use_transposition: bool = True,
     ) -> None:
-        self.constraints = constraints
         self.budget = budget
         self.use_bound = use_bound
         self.engine = engine
@@ -134,10 +133,16 @@ class _DFSState:
         self.transpositions = (
             engine.new_transposition_table() if use_transposition else None
         )
-        self.consecutive_after = {}
+        # Index i is a candidate once required[i] is built: its known
+        # predecessors, and for the first member of a consecutive pair
+        # also those of the members glued after it.
+        self.consecutive_after: Dict[int, int] = {}
+        self.required = [0] * self.n
         if constraints is not None:
-            for first, second in constraints.consecutive_pairs:
-                self.consecutive_after[first] = second
+            self.consecutive_after = dict(constraints.consecutive_pairs)
+            self.required = [
+                constraints.chain_predecessor_mask(i) for i in range(self.n)
+            ]
         # Search state: the cursor's undo records restore the exact
         # prior floats, so drift-free prefix objectives feed the
         # transposition-table dominance check.
@@ -160,20 +165,13 @@ class _DFSState:
         forced = self.consecutive_after.get(last)
         if forced is not None and not built[forced]:
             return [forced]
-        out = []
-        for i in range(self.n):
-            if built[i]:
-                continue
-            if self.constraints is not None:
-                blocked = False
-                for pred in self.constraints.predecessors(i):
-                    if not built[pred]:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-            out.append(i)
-        return out
+        waiting = ~self.built_mask
+        required = self.required
+        return [
+            i
+            for i in range(self.n)
+            if not built[i] and not required[i] & waiting
+        ]
 
     def _dfs(self, last: Optional[int]) -> None:
         if self.interrupted:

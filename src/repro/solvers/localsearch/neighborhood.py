@@ -1,19 +1,44 @@
-"""Move feasibility helpers shared by the local-search solvers."""
+"""Start orders and move helpers shared by the local-search solvers."""
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.analysis.constraints import ConstraintSet
-from repro.solvers.base import Budget
+from repro.core.instance import ProblemInstance
+from repro.solvers.base import Budget, repair_order
+from repro.solvers.greedy import greedy_order
 
 __all__ = [
+    "start_order",
     "swap_feasible",
     "apply_swap",
     "relocate_feasible",
     "apply_relocate",
     "batch_swap_descent",
 ]
+
+
+def start_order(
+    instance: ProblemInstance,
+    constraints: Optional[ConstraintSet],
+    initial_order: Optional[Sequence[int]],
+) -> List[int]:
+    """The order a local search starts from.
+
+    The caller's warm start, or else the greedy order; repaired when it
+    breaks ``constraints``, because the move checks and the relaxations
+    assume a feasible current order.
+    """
+    if initial_order is None:
+        order = greedy_order(instance, constraints)
+    else:
+        order = list(initial_order)
+    if constraints is not None and not constraints.check_order(order):
+        order = repair_order(order, constraints)
+    return order
 
 
 def swap_feasible(
@@ -139,21 +164,16 @@ def batch_swap_descent(
     engine's delta base is left on the returned order.
     """
     n = len(order)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     current = engine.set_base(order)
     while not budget.exhausted:
         objectives, feasible = engine.eval_all_swaps(constraints)
-        best_pair = None
-        best_value = current - 1e-12
-        for pos_a in range(n - 1):
-            row_obj = objectives[pos_a]
-            row_ok = feasible[pos_a]
-            for pos_b in range(pos_a + 1, n):
-                if row_ok[pos_b] and row_obj[pos_b] < best_value:
-                    best_value = row_obj[pos_b]
-                    best_pair = (pos_a, pos_b)
+        # The first feasible pair (row-major) of least objective.
+        masked = np.where(upper & feasible, objectives, np.inf)
+        best = int(np.argmin(masked))
         budget.tick(n * (n - 1) // 2)
-        if best_pair is None:
+        if not masked.flat[best] < current - 1e-12:
             break
-        order = apply_swap(order, best_pair[0], best_pair[1])
+        order = apply_swap(order, *divmod(best, n))
         current = engine.set_base(order)
     return order, current

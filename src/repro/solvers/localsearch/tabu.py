@@ -29,9 +29,12 @@ from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine
 from repro.core.instance import ProblemInstance
 from repro.core.solution import Solution, SolveResult, SolveStatus
-from repro.solvers.base import Budget, Solver, repair_order
-from repro.solvers.greedy import greedy_order
-from repro.solvers.localsearch.neighborhood import apply_swap, swap_feasible
+from repro.solvers.base import Budget, Solver
+from repro.solvers.localsearch.neighborhood import (
+    apply_swap,
+    start_order,
+    swap_feasible,
+)
 from repro.solvers.registry import register_factory
 
 __all__ = ["TabuSolver"]
@@ -65,15 +68,7 @@ class TabuSolver(Solver):
         start = time.perf_counter()
         if budget is None:
             budget = Budget(time_limit=5.0)
-        order = (
-            list(self.initial_order)
-            if self.initial_order is not None
-            else greedy_order(instance, constraints)
-        )
-        if constraints is not None and not constraints.check_order(order):
-            # swap_feasible assumes a feasible base; repair a
-            # caller-supplied warm start before probing moves from it.
-            order = repair_order(order, constraints)
+        order = start_order(instance, constraints, self.initial_order)
         engine = self._engine(instance)
         current = engine.set_base(order)
         best_order = list(order)

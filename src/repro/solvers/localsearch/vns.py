@@ -23,9 +23,11 @@ from repro.core.instance import ProblemInstance
 from repro.core.solution import Solution, SolveResult, SolveStatus
 from repro.solvers.base import Budget, Solver
 from repro.solvers.cp.search import CPModel
-from repro.solvers.greedy import greedy_order
 from repro.solvers.localsearch.lns import relax_step
-from repro.solvers.localsearch.neighborhood import batch_swap_descent
+from repro.solvers.localsearch.neighborhood import (
+    batch_swap_descent,
+    start_order,
+)
 from repro.solvers.registry import register
 
 __all__ = ["VNSSolver"]
@@ -80,11 +82,7 @@ class VNSSolver(Solver):
             budget = Budget(time_limit=5.0)
         rng = random.Random(self.seed)
         n = instance.n_indexes
-        order = (
-            list(self.initial_order)
-            if self.initial_order is not None
-            else greedy_order(instance, constraints)
-        )
+        order = start_order(instance, constraints, self.initial_order)
         # Hall filtering costs O(n^2) per propagation and adds little
         # inside a mostly-fixed neighborhood; forward checking plus
         # precedence propagation carry the relaxation sub-searches.

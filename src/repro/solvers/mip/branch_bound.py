@@ -112,11 +112,20 @@ class MIPSolver(Solver):
             else search.best_order
         )
         true_objective = engine.evaluate(final_order)
-        status = (
-            SolveStatus.OPTIMAL
-            if (search.closed and not search.interrupted) or search.proved_by_bound
-            else SolveStatus.TIMEOUT
-        )
+        # Only the engine's root bound proves the exact objective; a
+        # closed tree proves the discretized model's optimum, which can
+        # be a worse real order.
+        message = search.message
+        if search.proved_by_bound:
+            status = SolveStatus.OPTIMAL
+        elif search.closed and not search.interrupted:
+            status = SolveStatus.FEASIBLE
+            message = (
+                "time-indexed model closed; its optimum is not proved "
+                "optimal for the exact objective"
+            )
+        else:
+            status = SolveStatus.TIMEOUT
         return SolveResult(
             solver=self.name,
             status=status,
@@ -124,7 +133,7 @@ class MIPSolver(Solver):
             runtime=elapsed,
             nodes=search.nodes,
             trace=search.trace,
-            message=search.message,
+            message=message,
         )
 
 

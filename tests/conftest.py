@@ -167,6 +167,25 @@ def small_synthetic(seed: int, n: int = 6, **overrides) -> ProblemInstance:
     return generate_instance(seed=seed, config=config)
 
 
+def tpcds_shaped(n: int = 64) -> ProblemInstance:
+    """The extracted TPC-DS matrix's shape scaled to ``n`` indexes.
+
+    TPC-DS has 102 queries, 2564 plans (84% multi-index) and 278 build
+    interactions over 139 indexes; plans here have at most 4 members.
+    At n=64 (47 queries, 1154 plans) this is the ``search-tpcds``
+    benchmark matrix, above the numpy kernel's ``auto`` threshold.
+    """
+    config = GeneratorConfig(
+        n_indexes=n,
+        n_queries=round(n * 102 / 139),
+        plans_per_query=2564 / 102,
+        max_plan_size=4,
+        multi_index_fraction=(2564 - 412) / 2564,
+        build_interaction_rate=278 / 139,
+    )
+    return generate_instance(seed=2012, config=config)
+
+
 # ----------------------------------------------------------------------
 # Fixtures
 # ----------------------------------------------------------------------

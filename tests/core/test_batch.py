@@ -1,9 +1,8 @@
 """Tests for the vectorized batch neighborhood kernels.
 
-The contract under test: every batch kernel agrees *elementwise* with
-the scalar delta path (``eval_swap`` / ``eval_relocate``), and the
-vectorized feasibility masks agree cell-for-cell with the scalar
-predicates.
+The contract under test: the numpy swap kernel agrees *elementwise*
+with the scalar delta path (``eval_swap``), and the vectorized
+feasibility mask agrees cell-for-cell with the scalar predicate.
 """
 
 from __future__ import annotations
@@ -18,16 +17,15 @@ from repro.core.batch import (
     NUMPY_MIN_N,
     BatchNeighborhood,
     FlatInstance,
-    relocate_feasibility_mask,
     resolve_kernel,
     swap_feasibility_mask,
 )
 from repro.core.engine import EvalEngine
-from repro.solvers.localsearch.neighborhood import (
-    relocate_feasible,
-    swap_feasible,
-)
+from repro.solvers.greedy import greedy_order
+from repro.solvers.localsearch.neighborhood import apply_swap, swap_feasible
 from repro.workloads.generator import GeneratorConfig, generate_instance
+
+from tests.conftest import tpcds_shaped
 
 
 def make_instance(seed: int, n: int = 12, **overrides):
@@ -73,14 +71,18 @@ class TestFlatInstance:
             )
             assert members == set(plan.indexes)
         for i in range(flat.n):
-            assert list(flat.plans_of(i)) == list(
+            lo, hi = flat.poi_indptr[i], flat.poi_indptr[i + 1]
+            assert list(flat.poi_flat[lo:hi]) == list(
                 instance.plans_containing(i)
             )
+            assert set(flat.inc_index[lo:hi]) <= {i}
             assert flat.ctime[i] == instance.indexes[i].create_cost
             for helper, saving in instance.build_helpers(i):
                 assert flat.cs[i, helper] == pytest.approx(saving)
 
     def test_queries_of_index_covers_plans(self):
+        # The (index, query) pairs, and for each pair the plans of its
+        # query that do not contain its index.
         instance = make_instance(4, n=9)
         flat = FlatInstance(instance)
         for i in range(flat.n):
@@ -88,7 +90,18 @@ class TestFlatInstance:
                 instance.plans[pid].query_id
                 for pid in instance.plans_containing(i)
             }
-            assert set(flat.queries_of_index[i]) == expected
+            lo, hi = flat.qx_indptr[i], flat.qx_indptr[i + 1]
+            assert list(flat.pair_q[lo:hi]) == sorted(expected)
+            assert set(flat.pair_x[lo:hi]) <= {i}
+            for pair in range(lo, hi):
+                q = flat.pair_q[pair]
+                assert flat.pair_of[i, q] == pair
+                others = {
+                    pid
+                    for pid, plan in enumerate(instance.plans)
+                    if plan.query_id == q and i not in plan.indexes
+                }
+                assert set(flat.xq_plan[flat.xq_pair == pair]) == others
 
 
 # ----------------------------------------------------------------------
@@ -146,24 +159,70 @@ class TestSwapParity:
 
 
 # ----------------------------------------------------------------------
-# Insert kernel parity
+# Swap kernel parity at the sizes where ``auto`` runs it
 # ----------------------------------------------------------------------
-class TestInsertParity:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_vector_matches_scalar_eval_relocate(self, seed):
-        n = 6 + (seed % 3) * 3
-        instance = make_instance(seed + 50, n=n)
-        order = shuffled(n, seed)
+def greedy_and_variants(instance, variants: int, seed: int):
+    """The greedy order, then each order one random swap further."""
+    orders = [greedy_order(instance)]
+    rng = random.Random(seed)
+    for _ in range(variants):
+        pos_a, pos_b = rng.sample(range(instance.n_indexes), 2)
+        orders.append(apply_swap(orders[-1], pos_a, pos_b))
+    return orders
+
+
+def assert_swap_matrix_matches_scalar(instance, orders):
+    numpy_engine = EvalEngine(instance, kernel="numpy")
+    scalar_engine = EvalEngine(instance, kernel="scalar")
+    for order in orders:
+        numpy_engine.set_base(order)
+        scalar_engine.set_base(order)
+        vector, _ = numpy_engine.eval_all_swaps()
+        scalar, _ = scalar_engine.eval_all_swaps()
+        np.testing.assert_allclose(vector, scalar, rtol=1e-9, atol=0.0)
+    assert numpy_engine.stats.batch_numpy == len(orders)
+
+
+class TestSwapParityAtScale:
+    def test_tpcds_shaped_n64(self):
+        instance = tpcds_shaped(64)
+        assert (instance.n_queries, len(instance.plans)) == (47, 1154)
+        assert NUMPY_MIN_N <= instance.n_indexes
+        assert_swap_matrix_matches_scalar(
+            instance, greedy_and_variants(instance, 4, seed=1)
+        )
+
+    def test_shipped_tpcds(self, tpcds_full):
+        assert tpcds_full.n_indexes == 139
+        assert_swap_matrix_matches_scalar(
+            tpcds_full, greedy_and_variants(tpcds_full, 1, seed=2)
+        )
+
+    def test_mask_under_precedence_and_consecutive_pairs(self):
+        instance = tpcds_shaped(64)
+        n = instance.n_indexes
+        # Constraints a random permutation satisfies: precedences along
+        # it and a few consecutive pairs of its neighbours.
+        rng = random.Random(3)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cons = ConstraintSet(n)
+        for _ in range(40):
+            i, j = sorted(rng.sample(range(n), 2))
+            cons.add_precedence(perm[i], perm[j])
+        for i in (5, 20, 21, 40):
+            cons.add_consecutive(perm[i], perm[i + 1])
+        order = greedy_order(instance, cons)
+        assert cons.check_order(order)
         engine = EvalEngine(instance)
         engine.set_base(order)
-        neigh = BatchNeighborhood(FlatInstance(instance), order)
-        for index_id in range(n):
-            src = order.index(index_id)
-            vector = neigh.score_insert_neighborhood(index_id)
-            for dst in range(n):
-                assert vector[dst] == pytest.approx(
-                    engine.eval_relocate(src, dst), rel=1e-9, abs=1e-7
-                )
+        _, mask = engine.eval_all_swaps(cons)
+        assert engine.batch_kernel() == "numpy"
+        expected = np.array(
+            [[swap_feasible(order, a, b, cons) for b in range(n)] for a in range(n)]
+        )
+        assert np.array_equal(mask, expected)
+        assert not expected.all()
 
 
 # ----------------------------------------------------------------------
@@ -180,21 +239,6 @@ class TestFeasibilityMasks:
         for a in range(n):
             for b in range(n):
                 assert bool(mask[a, b]) == swap_feasible(order, a, b, cons)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_relocate_mask_matches_scalar_predicate(self, seed):
-        n = 8 + (seed % 2) * 5
-        instance = make_instance(seed + 20, n=n, precedence_rate=3.0)
-        cons = constraints_for(instance, extra_consecutive=seed % 2 == 0)
-        order = cons.topological_order()
-        for src in range(n):
-            mask = relocate_feasibility_mask(
-                order, src, cons, relocate_feasible
-            )
-            for dst in range(n):
-                assert bool(mask[dst]) == relocate_feasible(
-                    order, src, dst, cons
-                )
 
     def test_no_constraints_all_feasible(self):
         mask = swap_feasibility_mask(list(range(7)), None)
@@ -225,36 +269,17 @@ class TestEngineBatchAPI:
                         obj_v[a][b], rel=1e-9, abs=1e-7
                     )
 
-    def test_insert_kernels_agree_on_feasible_cells(self):
-        instance = make_instance(8, n=10, precedence_rate=2.0)
-        cons = constraints_for(instance)
-        order = cons.topological_order()
-        index_id = order[3]
-        results = {}
-        for kernel in ("scalar", "numpy"):
-            engine = EvalEngine(instance, kernel=kernel)
-            engine.set_base(order)
-            results[kernel] = engine.eval_all_inserts(index_id, cons)
-        obj_s, feas_s = results["scalar"]
-        obj_v, feas_v = results["numpy"]
-        assert np.array_equal(np.asarray(feas_s), np.asarray(feas_v))
-        for dst in range(instance.n_indexes):
-            if feas_s[dst]:
-                assert obj_s[dst] == pytest.approx(
-                    obj_v[dst], rel=1e-9, abs=1e-7
-                )
-
     def test_stats_count_batch_work(self):
         instance = make_instance(9, n=9)
         n = instance.n_indexes
         engine = EvalEngine(instance, kernel="numpy")
         engine.set_base(shuffled(n, 9))
         engine.eval_all_swaps()
-        engine.eval_all_inserts(0)
+        engine.eval_all_swaps()
         stats = engine.stats
         assert stats.batch_evals == 2
         assert stats.batch_numpy == 2
-        assert stats.batch_moves == n * (n - 1) // 2 + n
+        assert stats.batch_moves == n * (n - 1)
         assert stats.evaluations >= stats.batch_moves
         as_dict = stats.as_dict()
         for key in ("batch_evals", "batch_moves", "batch_numpy"):

@@ -21,6 +21,7 @@ from repro.solvers.random_search import random_statistics
 from repro.workloads.generator import GeneratorConfig, generate_instance
 
 from tests.conftest import (
+    brute_force_best,
     make_join_example,
     make_precedence_example,
     make_tiny3,
@@ -248,3 +249,31 @@ class TestConsecutivePairWaitsForOtherPredecessors:
             assert constraints.check_order(result.solution.order), (
                 name, seed, result.solution.order,
             )
+
+    # MIP does not close at n=6; its incumbent must still be feasible.
+    @pytest.mark.parametrize(
+        "name, time_limit",
+        [
+            ("exhaustive", 30.0),
+            ("cp", 30.0),
+            ("astar", 30.0),
+            ("subset-dp", 30.0),
+            ("mip", 0.5),
+        ],
+    )
+    def test_exact_solvers_return_feasible_optima(self, name, time_limit):
+        for seed, a, b, c in CHAIN_CASES:
+            instance = small_synthetic(seed, n=6)
+            constraints = ConstraintSet(6)
+            constraints.add_consecutive(a, b)
+            constraints.add_precedence(c, b)
+            result = registry.create(name).solve(
+                instance, constraints, Budget(time_limit=time_limit)
+            )
+            order = result.solution.order
+            assert constraints.check_order(order), (name, seed, order)
+            if result.status is SolveStatus.OPTIMAL:
+                _, best = brute_force_best(instance, constraints)
+                assert result.solution.objective == pytest.approx(
+                    best, rel=1e-9
+                ), (name, seed)

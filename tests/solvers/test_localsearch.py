@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from repro.analysis.constraints import ConstraintSet
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.solution import SolveStatus
 from repro.solvers.base import Budget
+from repro.solvers.cp.search import CPModel
 from repro.solvers.greedy import greedy_order
-from repro.solvers.localsearch.lns import LNSSolver
+from repro.solvers.localsearch.lns import LNSSolver, relax_step
 from repro.solvers.localsearch.neighborhood import apply_swap, swap_feasible
 from repro.solvers.localsearch.tabu import TabuSolver
 from repro.solvers.localsearch.vns import VNSSolver
@@ -162,3 +166,52 @@ class TestVNSSpecifics:
         vns = VNSSolver(seed=1).solve(instance, budget=budget_vns)
         lns = LNSSolver(seed=1).solve(instance, budget=budget_lns)
         assert vns.solution.objective <= lns.solution.objective * 1.05
+
+
+@contextmanager
+def wall_clock_guard(seconds: int):
+    """Fail the block with ``TimeoutError`` after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestInfeasibleWarmStart:
+    """A warm start that breaks the constraints: every 2-index
+    relaxation of it conflicts at the CP root."""
+
+    @staticmethod
+    def _pairs():
+        constraints = ConstraintSet(6)
+        for before, after in ((0, 1), (2, 3), (4, 5)):
+            constraints.add_precedence(before, after)
+        return constraints
+
+    @pytest.mark.parametrize("solver_cls", [LNSSolver, VNSSolver])
+    def test_warm_start_is_repaired(self, solver_cls):
+        instance = small_synthetic(seed=0, n=6)
+        constraints = self._pairs()
+        solver = solver_cls(seed=0, initial_order=[1, 0, 3, 2, 5, 4])
+        with wall_clock_guard(10):
+            result = solver.solve(
+                instance, constraints, Budget(node_limit=300)
+            )
+        assert constraints.check_order(list(result.solution.order))
+
+    def test_root_conflict_charges_the_budget(self):
+        instance = small_synthetic(seed=0, n=6)
+        model = CPModel(instance, self._pairs(), hall=False)
+        budget = Budget(node_limit=1)
+        found, _, proved = relax_step(
+            model, [1, 0, 3, 2, 5, 4], [4, 5], float("inf"), 100, budget
+        )
+        assert found is None and proved
+        assert budget.exhausted

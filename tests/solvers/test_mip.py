@@ -77,6 +77,18 @@ class TestMIPSolver:
             SolveStatus.FEASIBLE,
         )
 
+    def test_closed_model_is_not_a_proof(self):
+        # The time-indexed optimum at one step per index is a worse real
+        # order than the brute-force optimum, so it must not be OPTIMAL.
+        instance = small_synthetic(seed=22, n=3, n_queries=3)
+        _, best = brute_force_best(instance)
+        result = MIPSolver(steps_per_index=1).solve(
+            instance, budget=Budget(time_limit=60.0)
+        )
+        assert result.solution.objective > best * (1 + 1e-9)
+        assert result.status is SolveStatus.FEASIBLE
+        assert "not proved optimal" in result.message
+
     def test_constraints_respected(self, paper_example):
         constraints = ConstraintSet(2)
         constraints.add_precedence(0, 1)  # force the bad order

@@ -304,20 +304,6 @@ class TestBatchKernelProperties:
                 )
 
     @COMMON_SETTINGS
-    @given(instances_with_base_and_move())
-    def test_eval_all_inserts_matches_scalar_elementwise(self, quad):
-        instance, base, src, _ = quad
-        engine = EvalEngine(instance, kernel="numpy")
-        engine.set_base(base)
-        scalar_engine = EvalEngine(instance, kernel="scalar")
-        scalar_engine.set_base(base)
-        vector, _ = engine.eval_all_inserts(base[src])
-        for dst in range(instance.n_indexes):
-            assert vector[dst] == pytest.approx(
-                scalar_engine.eval_relocate(src, dst), rel=1e-9, abs=1e-7
-            )
-
-    @COMMON_SETTINGS
     @given(instances())
     def test_feasibility_mask_matches_swap_feasible(self, instance):
         from repro.core.batch import swap_feasibility_mask
