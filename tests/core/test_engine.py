@@ -15,8 +15,9 @@ import pytest
 from repro.core.engine import EvalEngine, PrefixCursor, TranspositionTable
 from repro.core.objective import ObjectiveEvaluator, PrefixCachedEvaluator
 from repro.errors import ValidationError
+from repro.solvers.greedy import greedy_order
 
-from tests.conftest import make_paper_example, small_synthetic
+from tests.conftest import make_paper_example, small_synthetic, tpcds_shaped
 
 
 def checkpoint_steps(base, order, stride=16):
@@ -92,6 +93,28 @@ class TestDeltaEvaluation:
                 candidate = base[:]
                 moved = candidate.pop(src)
                 candidate.insert(dst, moved)
+                expected = reference.evaluate(candidate)
+                assert engine.eval_relocate(src, dst) == pytest.approx(
+                    expected, rel=1e-9
+                )
+                assert engine.eval_insert(base[src], dst) == pytest.approx(
+                    expected, rel=1e-9
+                )
+
+    def test_relocate_parity_at_numpy_kernel_sizes(self):
+        # No batch kernel scores insert moves, so the scalar path runs
+        # at every size: check whole relocate rows of the search-tpcds
+        # matrix (n=64) from its greedy order.
+        instance = tpcds_shaped(64)
+        reference = ObjectiveEvaluator(instance)
+        engine = EvalEngine(instance)
+        base = greedy_order(instance)
+        engine.set_base(base)
+        n = instance.n_indexes
+        for src in random.Random(5).sample(range(n), 4):
+            for dst in range(n):
+                candidate = base[:]
+                candidate.insert(dst, candidate.pop(src))
                 expected = reference.evaluate(candidate)
                 assert engine.eval_relocate(src, dst) == pytest.approx(
                     expected, rel=1e-9

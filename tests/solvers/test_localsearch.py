@@ -14,7 +14,12 @@ from repro.solvers.base import Budget
 from repro.solvers.cp.search import CPModel
 from repro.solvers.greedy import greedy_order
 from repro.solvers.localsearch.lns import LNSSolver, relax_step
-from repro.solvers.localsearch.neighborhood import apply_swap, swap_feasible
+from repro.solvers.localsearch.neighborhood import (
+    apply_relocate,
+    apply_swap,
+    relocate_feasible,
+    swap_feasible,
+)
 from repro.solvers.localsearch.tabu import TabuSolver
 from repro.solvers.localsearch.vns import VNSSolver
 
@@ -49,6 +54,30 @@ class TestNeighborhood:
         # Swapping 1 away from its partner breaks adjacency.
         assert not swap_feasible(order, 1, 3, constraints)
         assert swap_feasible(order, 2, 3, constraints)
+
+    def test_apply_relocate(self):
+        assert apply_relocate([0, 1, 2, 3], 0, 2) == [1, 2, 0, 3]
+        assert apply_relocate([0, 1, 2, 3], 3, 1) == [0, 3, 1, 2]
+
+    def test_relocate_feasible_without_constraints(self):
+        assert relocate_feasible([0, 1, 2], 0, 2, None)
+
+    def test_relocate_feasible_respects_precedence(self):
+        constraints = ConstraintSet(3)
+        constraints.add_precedence(0, 2)
+        order = [0, 1, 2]
+        # Moving 0 behind 2 breaks the precedence; behind 1 it holds.
+        assert not relocate_feasible(order, 0, 2, constraints)
+        assert relocate_feasible(order, 0, 1, constraints)
+
+    def test_relocate_feasible_respects_consecutive(self):
+        constraints = ConstraintSet(4)
+        constraints.add_consecutive(0, 1)
+        order = [0, 1, 2, 3]
+        # Moving 1 away from its partner breaks adjacency; moving 3 in
+        # front of the pair shifts both members together.
+        assert not relocate_feasible(order, 1, 3, constraints)
+        assert relocate_feasible(order, 3, 0, constraints)
 
 
 @pytest.mark.parametrize("solver", LOCAL_SOLVERS)
