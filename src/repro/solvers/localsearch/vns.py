@@ -1,8 +1,10 @@
 """Variable Neighborhood Search (Section 7.3) — the paper's best method.
 
 VNS fixes LNS's parameter-tuning problem (Figure 10) by adapting both
-knobs online.  Relaxations are processed in groups of
-``group_size`` (20); after each group:
+knobs online.  Each restart runs one LNS relaxation
+(:func:`~repro.solvers.localsearch.lns.relax_step`) around the
+incumbent.  Relaxations are processed in groups of ``group_size`` (20);
+after each group:
 
 * if more than ``proof_threshold`` (75%) of the group's relaxations
   ended with an exhaustion *proof*, the search is stuck in a local
@@ -10,10 +12,14 @@ knobs online.  Relaxations are processed in groups of
   size by 1% of the indexes;
 * otherwise the neighborhood is under-explored — grow the failure limit
   by 20%.
+
+The paper's fixed-parameter LNS (Section 7.2) is the same loop with
+adaptation off: :class:`LNSSolver` never completes a group.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from typing import List, Optional, Tuple
@@ -30,7 +36,7 @@ from repro.solvers.localsearch.neighborhood import (
 )
 from repro.solvers.registry import register
 
-__all__ = ["VNSSolver"]
+__all__ = ["LNSSolver", "VNSSolver"]
 
 
 @register(
@@ -146,4 +152,36 @@ class VNSSolver(Solver):
             runtime=elapsed,
             nodes=restarts,
             trace=trace,
+        )
+
+
+@register(
+    "lns",
+    summary="large neighborhood search over CP relaxations (Section 7.2)",
+    anytime=True,
+    stochastic=True,
+    accepts_initial_order=True,
+)
+class LNSSolver(VNSSolver):
+    """Fixed-parameter LNS (the baseline VNS improves upon).
+
+    Relaxes ``relax_fraction`` of the indexes per restart, each with a
+    ``failure_limit`` backtrack cap, and never adapts either knob.
+    """
+
+    name = "lns"
+
+    def __init__(
+        self,
+        relax_fraction: float = 0.05,
+        failure_limit: int = 500,
+        seed: int = 0,
+        initial_order: Optional[List[int]] = None,
+    ) -> None:
+        super().__init__(
+            initial_relax_fraction=relax_fraction,
+            initial_failure_limit=failure_limit,
+            group_size=math.inf,  # no group completes, so nothing adapts
+            seed=seed,
+            initial_order=initial_order,
         )

@@ -1,4 +1,4 @@
-"""Time-indexed MIP formulation and branch-and-bound (Appendix B)."""
+"""Time-indexed MIP formulation solved by HiGHS ``milp`` (Appendix B)."""
 
 from repro.solvers.mip.branch_bound import MIPSolver
 from repro.solvers.mip.model import DEFAULT_VARIABLE_LIMIT, MIPModel, build_model

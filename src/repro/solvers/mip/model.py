@@ -22,7 +22,7 @@ speed — the paper's result is precisely that this formulation explodes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -43,7 +43,7 @@ class MIPModel:
     """A concrete LP/MIP in matrix form.
 
     ``A_ub x <= b_ub``, ``A_eq x = b_eq``, minimize ``c @ x``; the
-    ``integral`` mask marks binary variables for branch-and-bound.
+    ``integral`` mask marks the binary variables.
     """
 
     instance: ProblemInstance
@@ -70,30 +70,6 @@ class MIPModel:
         """Extract a deployment order by sorting the ``A`` start times."""
         starts = [(x[self.a_index[i]], i) for i in self.a_index]
         return [i for _, i in sorted(starts)]
-
-    def discretized_objective(self, order: Sequence[int]) -> float:
-        """Objective of ``order`` under this model's discretization.
-
-        Used by the branch-and-bound primal heuristic so incumbents live
-        in the same objective space as the LP bounds.
-        """
-        instance = self.instance
-        built: set = set()
-        elapsed = 0.0
-        finish: Dict[int, float] = {}
-        for index_id in order:
-            cost_steps = instance.build_cost(index_id, built) / self.step_unit
-            elapsed += cost_steps
-            finish[index_id] = elapsed
-            built.add(index_id)
-        total = 0.0
-        n = instance.n_indexes
-        for step in range(self.n_steps):
-            available = {i for i in order if finish[i] <= step + 1e-9}
-            if len(available) == n:
-                break  # imaginary all-indexes plan zeroes the runtime
-            total += instance.total_runtime(available)
-        return total
 
 
 class _Builder:

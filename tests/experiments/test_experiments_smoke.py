@@ -47,6 +47,27 @@ class TestTable5:
         methods = [row[0] for row in table.rows]
         assert methods == ["MIP", "CP", "MIP+", "CP+", "VNS"]
         assert len(table.headers) == 3
+        # A VNS cell is the time to its best order, not its 3 s budget.
+        vns = table.rows[-1][1:]
+        assert all(cell.endswith("*") for cell in vns)
+        assert all(float(cell[:-1]) < 3.0 for cell in vns)
+
+    def test_closed_model_note(self):
+        from repro.core.solution import SolveStatus
+
+        def payload(status, objective):
+            return {"status": status, "objective": objective}
+
+        payloads = {
+            ("mip", 0): payload(SolveStatus.FEASIBLE, 101.0),
+            ("cp", 0): payload(SolveStatus.OPTIMAL, 100.0),
+            ("mip+", 0): payload(SolveStatus.TIMEOUT, 102.0),
+            ("vns", 0): payload(SolveStatus.FEASIBLE, 100.0),
+        }
+        note = table5._closed_model_note([(6, "low")], payloads)
+        assert "MIP |I|=6 low +1.000%, VNS's best equals it" in note
+        assert "MIP+" not in note  # a timeout is not a closed model
+        assert table5._closed_model_note([(6, "low")], {}) is None
 
     def test_cp_solves_small_low_density(self):
         table = table5.run(time_limit=5.0, grid=[(6, "low")])

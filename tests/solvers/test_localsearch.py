@@ -13,7 +13,7 @@ from repro.core.solution import SolveStatus
 from repro.solvers.base import Budget
 from repro.solvers.cp.search import CPModel
 from repro.solvers.greedy import greedy_order
-from repro.solvers.localsearch.lns import LNSSolver, relax_step
+from repro.solvers.localsearch import LNSSolver, relax_step
 from repro.solvers.localsearch.neighborhood import (
     apply_relocate,
     apply_swap,
@@ -195,6 +195,62 @@ class TestVNSSpecifics:
         vns = VNSSolver(seed=1).solve(instance, budget=budget_vns)
         lns = LNSSolver(seed=1).solve(instance, budget=budget_lns)
         assert vns.solution.objective <= lns.solution.objective * 1.05
+
+
+class TestLNSPins:
+    """LNS order, objective and node count at fixed seeds, recorded
+    before LNS became a VNS configuration (``Budget(node_limit=3000)``)."""
+
+    TPCH = {
+        0: (
+            (1, 5, 0, 4, 18, 26, 9, 14, 3, 6, 7, 30, 2, 16, 21, 8, 13, 12,
+             25, 11, 17, 15, 10, 19, 20, 23, 22, 24, 27, 28, 29, 31),
+            12935042054632.596,
+            2,
+        ),
+        1: (
+            (1, 5, 4, 13, 14, 26, 9, 0, 3, 30, 6, 7, 21, 2, 18, 12, 8, 25,
+             16, 11, 17, 15, 10, 19, 20, 23, 22, 24, 27, 28, 29, 31),
+            12948193316425.174,
+            1,
+        ),
+        2: (
+            (1, 5, 4, 13, 14, 30, 8, 2, 3, 0, 6, 26, 7, 16, 18, 9, 21, 25,
+             12, 11, 17, 15, 10, 19, 20, 23, 22, 24, 27, 28, 29, 31),
+            12878244476651.814,
+            33,
+        ),
+    }
+    MID_14_ORDER = (4, 3, 2, 0, 5, 1, 8, 10, 12, 6, 9, 11, 7, 13)
+    MID_14 = {
+        0: (MID_14_ORDER, 8543605863723.954, 849),
+        1: (MID_14_ORDER, 8543605863723.954, 897),
+        2: (MID_14_ORDER, 8543605863723.954, 905),
+    }
+
+    @staticmethod
+    def _check(instance, constraints, seed, pin):
+        result = LNSSolver(seed=seed).solve(
+            instance, constraints, Budget(node_limit=3000)
+        )
+        order, objective, nodes = pin
+        assert result.solver == "lns"
+        assert result.solution.order == order
+        assert result.solution.objective == objective
+        assert result.nodes == nodes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tpch(self, tpch_full, seed):
+        self._check(tpch_full, None, seed, self.TPCH[seed])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reduced_tpch_14_mid_with_constraints(self, seed):
+        from repro.analysis.fixpoint import analyze
+        from repro.experiments.instances import reduced_tpch
+
+        instance = reduced_tpch(14, "mid")
+        constraints = analyze(instance, time_budget=None).constraints
+        self._check(instance, constraints, seed, self.MID_14[seed])
 
 
 @contextmanager
