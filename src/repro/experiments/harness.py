@@ -14,6 +14,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.solution import SolveStatus
+
 __all__ = [
     "ResultTable",
     "format_cell",
@@ -21,6 +23,7 @@ __all__ = [
     "DF",
     "make_solver",
     "engine_stats_note",
+    "nodes_note",
 ]
 
 #: Marker string matching the paper's "did not finish" cells.
@@ -76,6 +79,30 @@ def engine_stats_note(label: str, stats: Optional[Dict[str, int]]) -> Optional[s
     if stats.get("tt_prunes"):
         parts.append(f"{stats['tt_prunes']} transposition prunes")
     return f"engine[{label}]: " + ", ".join(parts)
+
+
+def nodes_note(
+    label: str,
+    headers: Sequence[str],
+    payloads: Sequence[Optional[Dict[str, Any]]],
+) -> str:
+    """One row's search-node counts, one per column, as a table note.
+
+    Node counts keep a gap visible when both cells prove in
+    milliseconds.  Each payload carries the cell's ``nodes`` and
+    ``status``; a count without a proof is starred, and a cell whose
+    worker failed (``None``) has no count.
+    """
+    counts = [
+        DF
+        if payload is None
+        else f"{payload['nodes']:,}"
+        + ("" if payload["status"] is SolveStatus.OPTIMAL else "*")
+        for payload in payloads
+    ]
+    return f"nodes[{label}]: " + "; ".join(
+        f"{header} {count}" for header, count in zip(headers, counts)
+    )
 
 
 def format_cell(value: Any) -> str:

@@ -2,9 +2,11 @@
 
 Layers: :class:`DomainStore` (bitmask finite domains with a trail),
 propagators (``alldifferent`` with Hall intervals, precedence bounds,
-alliance channeling), and :class:`CPSearch` branch-and-prune with
-first-fail or sequential branching.  :class:`CPSolver` is the public
-solver facade; LNS/VNS reuse :class:`CPSearch` directly.
+alliance channeling), and :class:`CPSearch`, a first-fail
+branch-and-prune.  :class:`CPSolver` is the public solver facade: its
+default first-fail strategy runs :class:`CPSearch`, and its sequential
+strategy runs the exact DFS of :mod:`repro.solvers.exhaustive`.  LNS/VNS
+reuse :class:`CPSearch` directly.
 """
 
 from repro.solvers.cp.domains import Conflict, DomainStore

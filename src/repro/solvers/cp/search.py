@@ -1,19 +1,20 @@
 """Branch-and-prune search for the CP model (Section 6.2).
 
-The searcher assigns position variables depth-first with a pluggable
-branching strategy:
+:class:`CPSearch` assigns position variables depth-first with the
+paper's first-fail branching: the smallest-domain variable next, its
+values ascending (the Section-5 constraints skew domain sizes, which is
+exactly what makes FF effective here).  An incumbent objective is
+maintained; complete assignments are evaluated exactly, and a node
+whose assigned variables fill a contiguous position prefix is pruned
+with the exact-prefix + admissible-suffix bound.  The searcher also
+powers LNS/VNS through ``fixed`` variable assignments and a failure
+limit.
 
-* ``"first_fail"`` — dynamic variable ordering by smallest domain (the
-  paper's FF heuristic; the Section-5 constraints skew domain sizes,
-  which is exactly what makes FF effective here),
-* ``"sequential"`` — fill deployment positions left to right, which
-  keeps an exact prefix objective available and enables the
-  branch-and-bound style pruning the exhaustive solver uses.
-
-An incumbent objective is maintained; complete assignments are evaluated
-exactly, and (for sequential search) partial assignments are pruned with
-the admissible remaining-area bound.  The searcher also powers LNS/VNS
-through ``fixed`` variable assignments and a failure limit.
+``CPSolver(strategy="sequential")`` fills positions left to right.
+There the propagators pruned nothing beyond the DFS's own precedence
+gating (reduced TPC-H, 9 indexes with the Section-5 constraints: 23,571
+CP nodes against 23,542 for the DFS without its transposition table),
+so that strategy runs the exact DFS of :mod:`repro.solvers.exhaustive`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine
 from repro.core.instance import ProblemInstance
-from repro.core.solution import Solution, SolveResult, SolveStatus
+from repro.core.solution import SolveResult
 from repro.solvers.base import Budget, Solver
 from repro.solvers.cp.domains import Conflict, DomainStore
 from repro.solvers.cp.propagators import (
@@ -33,6 +34,8 @@ from repro.solvers.cp.propagators import (
     Precedence,
     PropagationEngine,
 )
+from repro.solvers.exhaustive import dfs_solve, exact_result
+from repro.solvers.greedy import greedy_order
 from repro.solvers.registry import register
 
 __all__ = ["CPModel", "CPSearch", "CPSolver", "SearchOutcome"]
@@ -104,28 +107,23 @@ class SearchOutcome:
         self.best_objective = float("inf")
         self.nodes = 0
         self.failures = 0
-        self.proved = False
         self.interrupted = False
         self.trace: List[Tuple[float, float]] = []
 
 
 class CPSearch:
-    """One depth-first branch-and-prune run over a CP model."""
+    """One depth-first first-fail branch-and-prune run over a CP model."""
 
     def __init__(
         self,
         model: CPModel,
-        strategy: str = "first_fail",
         incumbent: Optional[float] = None,
         failure_limit: Optional[int] = None,
         budget: Optional[Budget] = None,
         fixed: Optional[Dict[int, int]] = None,
         delta_base: Optional[Sequence[int]] = None,
     ) -> None:
-        if strategy not in ("first_fail", "sequential"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         self.model = model
-        self.strategy = strategy
         self.failure_limit = failure_limit
         self.budget = budget
         self.fixed = dict(fixed) if fixed else {}
@@ -139,29 +137,10 @@ class CPSearch:
         self._use_delta = delta_base is not None
         if delta_base is not None:
             self.engine.set_base(delta_base)
-        self._density_rank = self._compute_density_ranks(model.instance)
         self._start = time.perf_counter()
 
-    @staticmethod
-    def _compute_density_ranks(instance: ProblemInstance) -> List[int]:
-        """Static value-ordering heuristic: denser indexes branch first."""
-        densities = []
-        for index in instance.indexes:
-            benefit = 0.0
-            for plan_id in instance.plans_containing(index.index_id):
-                plan = instance.plans[plan_id]
-                weight = instance.queries[plan.query_id].weight
-                share = plan.speedup * weight / len(plan.indexes)
-                benefit += share
-            cost = max(instance.min_build_cost(index.index_id), 1e-9)
-            densities.append((-benefit / cost, index.index_id))
-        ranks = [0] * instance.n_indexes
-        for rank, (_, index_id) in enumerate(sorted(densities)):
-            ranks[index_id] = rank
-        return ranks
-
     def run(self) -> SearchOutcome:
-        """Execute the search; the outcome reports proof vs. interruption."""
+        """Execute the search; an uninterrupted run is a proof."""
         store = self.model.create_store()
         engine = self.model.create_engine()
         try:
@@ -174,11 +153,8 @@ class CPSearch:
             self.outcome.nodes += 1
             if self.budget is not None:
                 self.budget.tick()
-            self.outcome.proved = True
             return self.outcome
         self._dfs(store, engine)
-        if not self.outcome.interrupted:
-            self.outcome.proved = True
         return self.outcome
 
     # ------------------------------------------------------------------
@@ -241,29 +217,7 @@ class CPSearch:
             self.outcome.failures += 1
 
     def _branch_decisions(self, store: DomainStore) -> List[Tuple[int, int]]:
-        """Child decisions ``(var, value)`` under the active strategy.
-
-        Sequential: branch over which index takes the first unfilled
-        position (keeps the prefix contiguous so the exact-prefix bound
-        applies at every node), candidates ordered by the static greedy
-        density so good incumbents appear early.  First-fail: branch on
-        the smallest-domain variable, values ascending.
-        """
-        if self.strategy == "sequential":
-            taken = 0
-            for var in range(store.n):
-                if store.is_assigned(var):
-                    taken |= store.domain_mask(var)
-            position = 0
-            while taken & (1 << position):
-                position += 1
-            candidates = [
-                var
-                for var in range(store.n)
-                if not store.is_assigned(var) and store.has(var, position)
-            ]
-            candidates.sort(key=lambda v: self._density_rank[v])
-            return [(var, position) for var in candidates]
+        """First-fail: the smallest-domain variable, values ascending."""
         best_var = -1
         best_size = float("inf")
         for var in range(store.n):
@@ -281,8 +235,8 @@ class CPSearch:
         """Prune with exact-prefix + admissible-suffix lower bound.
 
         Only applies when the assigned variables occupy a contiguous
-        position prefix ``0..k-1`` (always true under sequential
-        branching, opportunistically true under first-fail).
+        position prefix ``0..k-1``, which first-fail reaches
+        opportunistically.
         """
         if self.outcome.best_objective == float("inf"):
             return True
@@ -312,9 +266,16 @@ class CPSearch:
 class CPSolver(Solver):
     """Constraint-programming solver (Section 6).
 
+    The greedy order is the first incumbent when it satisfies the
+    constraints (and ``seed_incumbent`` is set).
+
     Args:
-        strategy: ``"first_fail"`` (paper default) or ``"sequential"``.
-        hall: Enable Hall-interval filtering in ``alldifferent``.
+        strategy: ``"first_fail"`` (paper default) runs :class:`CPSearch`;
+            ``"sequential"`` fills positions left to right, which is the
+            exact DFS of :mod:`repro.solvers.exhaustive`.
+        hall: Enable Hall-interval filtering in ``alldifferent``.  Only
+            first-fail propagates; the sequential DFS ignores it.
+        seed_incumbent: Start from the greedy order.
     """
 
     name = "cp"
@@ -325,6 +286,8 @@ class CPSolver(Solver):
         hall: bool = True,
         seed_incumbent: bool = True,
     ) -> None:
+        if strategy not in ("first_fail", "sequential"):
+            raise ValueError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
         self.hall = hall
         self.seed_incumbent = seed_incumbent
@@ -337,58 +300,28 @@ class CPSolver(Solver):
         constraints: Optional[ConstraintSet] = None,
         budget: Optional[Budget] = None,
     ) -> SolveResult:
-        start = time.perf_counter()
-        model = CPModel(
-            instance, constraints, hall=self.hall, engine=self._engine(instance)
-        )
-        incumbent_order = None
-        incumbent_objective = None
-        if self.seed_incumbent:
-            from repro.solvers.greedy import greedy_order
-
-            incumbent_order = greedy_order(instance, constraints)
-            incumbent_objective = model.engine.evaluate(incumbent_order)
-        search = CPSearch(
-            model,
-            strategy=self.strategy,
-            incumbent=incumbent_objective,
-            budget=budget,
-        )
-        if incumbent_objective is not None:
-            # The greedy seed is the first incumbent; Figures 11/12 plot
-            # the CP anytime curve from this point.
-            search.outcome.trace.append(
-                (time.perf_counter() - start, incumbent_objective)
+        started = time.perf_counter()
+        engine = self._engine(instance)
+        seed = greedy_order(instance, constraints) if self.seed_incumbent else None
+        if self.strategy == "sequential":
+            result = dfs_solve(
+                self.name, instance, constraints, budget, engine, seed, started
             )
-        outcome = search.run()
-        elapsed = time.perf_counter() - start
-        self.last_engine_stats = model.engine.stats.as_dict()
-        if outcome.best_order is None and incumbent_order is not None:
-            # Nothing beat the greedy seed: it is the solution (and, if
-            # the search closed, provably optimal).
-            outcome.best_order = list(incumbent_order)
-            outcome.best_objective = incumbent_objective
-        if outcome.best_order is None:
-            status = (
-                SolveStatus.TIMEOUT
-                if outcome.interrupted
-                else SolveStatus.INFEASIBLE
-            )
-            return SolveResult(
-                solver=self.name,
-                status=status,
-                solution=None,
-                runtime=elapsed,
-                nodes=outcome.nodes,
-            )
-        status = (
-            SolveStatus.OPTIMAL if outcome.proved else SolveStatus.TIMEOUT
-        )
-        return SolveResult(
-            solver=self.name,
-            status=status,
-            solution=Solution(tuple(outcome.best_order), outcome.best_objective),
-            runtime=elapsed,
-            nodes=outcome.nodes,
-            trace=outcome.trace,
-        )
+        else:
+            model = CPModel(instance, constraints, hall=self.hall, engine=engine)
+            search = CPSearch(model, budget=budget)
+            outcome = search.outcome
+            if seed is not None and (
+                constraints is None or constraints.check_order(seed)
+            ):
+                # As in the DFS, a feasible seed is the first incumbent
+                # and the first trace point.
+                outcome.best_order = list(seed)
+                outcome.best_objective = engine.evaluate(seed)
+                outcome.trace.append(
+                    (time.perf_counter() - started, outcome.best_objective)
+                )
+            search.run()
+            result = exact_result(self.name, outcome, started)
+        self.last_engine_stats = engine.stats.as_dict()
+        return result

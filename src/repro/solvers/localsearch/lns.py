@@ -42,7 +42,6 @@ def relax_step(
     }
     search = CPSearch(
         model,
-        strategy="first_fail",
         incumbent=incumbent,
         failure_limit=failure_limit,
         budget=budget,
@@ -50,6 +49,7 @@ def relax_step(
         delta_base=order,
     )
     outcome = search.run()
+    proved = not outcome.interrupted
     if outcome.best_order is not None:
-        return outcome.best_order, outcome.best_objective, outcome.proved
-    return None, None, outcome.proved
+        return outcome.best_order, outcome.best_objective, proved
+    return None, None, proved

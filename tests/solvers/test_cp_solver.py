@@ -8,7 +8,7 @@ from repro.analysis.constraints import ConstraintSet
 from repro.analysis.fixpoint import analyze
 from repro.core.solution import SolveStatus
 from repro.solvers.base import Budget
-from repro.solvers.cp.search import CPModel, CPSearch, CPSolver
+from repro.solvers.cp.search import CPModel, CPSolver
 
 from tests.conftest import (
     brute_force_best,
@@ -115,13 +115,25 @@ class TestCPBudget:
         assert result.trace  # at least one incumbent event
 
 
-class TestCPModel:
+class TestCPSolverOptions:
     def test_rejects_unknown_strategy(self):
-        instance = small_synthetic(seed=0, n=4)
-        model = CPModel(instance, None)
-        with pytest.raises(Exception):
-            CPSearch(model, strategy="nonsense").run()
+        with pytest.raises(ValueError, match="unknown strategy"):
+            CPSolver(strategy="nonsense")
 
+    @pytest.mark.parametrize("strategy", ["first_fail", "sequential"])
+    def test_without_greedy_seed_starts_with_no_incumbent(self, strategy):
+        instance = small_synthetic(seed=2, n=6)
+        solver = CPSolver(strategy=strategy, seed_incumbent=False)
+        result = solver.solve(instance, budget=Budget(node_limit=1))
+        assert result.status is SolveStatus.TIMEOUT
+        assert result.solution is None
+        seeded = CPSolver(strategy=strategy).solve(
+            instance, budget=Budget(node_limit=1)
+        )
+        assert seeded.solution is not None
+
+
+class TestCPModel:
     def test_store_reflects_position_bounds(self):
         instance = small_synthetic(seed=0, n=5)
         constraints = ConstraintSet(5)

@@ -1,5 +1,8 @@
 """Unit tests for the exact solvers: exhaustive B&B, subset DP, A*.
 
+``CPSolver(strategy="sequential")`` runs the exhaustive DFS, so it is
+one more input here.
+
 Every exact solver must find the brute-force optimum and prove
 optimality on instances small enough for the oracle.
 """
@@ -10,11 +13,15 @@ import pytest
 
 from repro.analysis.constraints import ConstraintSet
 from repro.analysis.fixpoint import analyze
+from repro.core.engine import EvalEngine
 from repro.core.solution import SolveStatus
 from repro.errors import SolverError, ValidationError
+from repro.experiments.instances import reduced_tpch
 from repro.solvers.astar import AStarSolver, SubsetDPSolver
 from repro.solvers.base import Budget
+from repro.solvers.cp import CPSolver
 from repro.solvers.exhaustive import ExhaustiveSolver
+from repro.solvers.greedy import greedy_order
 
 from tests.conftest import (
     brute_force_best,
@@ -28,6 +35,7 @@ EXACT_SOLVERS = [
     pytest.param(ExhaustiveSolver(use_bound=False), id="exhaustive-nobound"),
     pytest.param(SubsetDPSolver(), id="subset-dp"),
     pytest.param(AStarSolver(), id="astar"),
+    pytest.param(CPSolver(strategy="sequential"), id="cp-sequential"),
 ]
 
 
@@ -66,6 +74,7 @@ class TestExactWithConstraints:
         "solver",
         [
             pytest.param(ExhaustiveSolver(), id="exhaustive"),
+            pytest.param(CPSolver(strategy="sequential"), id="cp-sequential"),
         ],
     )
     def test_constraints_change_feasible_set(self, solver):
@@ -95,6 +104,51 @@ class TestExactWithConstraints:
         assert result.solution.order[0] == 0  # clustered index first
         _, best = brute_force_best(instance, constraints)
         assert result.solution.objective == pytest.approx(best)
+
+
+def _pair_conflict(constraints):
+    constraints.add_consecutive(0, 1)
+    constraints.add_consecutive(0, 2)
+
+
+def _pair_straddled(constraints):
+    constraints.add_consecutive(0, 1)
+    constraints.add_precedence(0, 2)
+    constraints.add_precedence(2, 1)
+
+
+@pytest.mark.parametrize(
+    "solver", EXACT_SOLVERS + [pytest.param(CPSolver(), id="cp")]
+)
+@pytest.mark.parametrize("add", [_pair_conflict, _pair_straddled])
+def test_unsatisfiable_pairs_are_infeasible(solver, add):
+    # No order satisfies either set, and the greedy order breaks both:
+    # an exact solver must say INFEASIBLE rather than prove that order.
+    instance = small_synthetic(seed=0, n=5)
+    constraints = ConstraintSet(5)
+    add(constraints)
+    result = solver.solve(instance, constraints=constraints)
+    assert result.status is SolveStatus.INFEASIBLE
+    assert result.solution is None
+
+
+class TestOneDFS:
+    """CP's sequential strategy is the exhaustive DFS, seeded by greedy."""
+
+    @pytest.mark.parametrize("size, density", [(9, "low"), (13, "mid")])
+    def test_cp_sequential_is_the_exhaustive_dfs(self, size, density):
+        instance = reduced_tpch(size, density)
+        constraints = analyze(instance).constraints
+        exhaustive = ExhaustiveSolver().solve(instance, constraints)
+        cp = CPSolver(strategy="sequential").solve(instance, constraints)
+        assert exhaustive.status is SolveStatus.OPTIMAL
+        assert cp.status is SolveStatus.OPTIMAL
+        assert cp.solution.order == exhaustive.solution.order
+        assert cp.solution.objective == exhaustive.solution.objective
+        assert cp.nodes == exhaustive.nodes
+        greedy = EvalEngine(instance).evaluate(greedy_order(instance, constraints))
+        assert exhaustive.trace[0][1] == greedy
+        assert cp.trace[0][1] == greedy
 
 
 class TestBudgets:
