@@ -27,10 +27,12 @@ class ConstraintSet:
 
     The precedence relation is kept transitively closed at all times:
     after ``add_precedence(a, b)`` and ``add_precedence(b, c)``,
-    ``is_before(a, c)`` is true.  Adding a constraint that contradicts
-    the closure raises :class:`InfeasibleError`, which preserves the
-    library invariant that a live ``ConstraintSet`` is always satisfiable
-    by at least one permutation.
+    ``is_before(a, c)`` is true.  Adding a precedence that contradicts
+    the closure raises :class:`InfeasibleError`, so the closure stays
+    acyclic.  Consecutive pairs are not checked against each other:
+    ``add_consecutive(0, 1)`` and ``add_consecutive(0, 2)`` build a set
+    no permutation satisfies, without an error.  On such a set the exact
+    solvers answer ``INFEASIBLE``.
     """
 
     def __init__(self, n: int) -> None:

@@ -1,7 +1,7 @@
 """Constraint-programming solver stack (Section 6 of the paper).
 
 Layers: :class:`DomainStore` (bitmask finite domains with a trail),
-propagators (``alldifferent`` with Hall intervals, precedence bounds,
+propagators (``alldifferent`` by forward checking, precedence bounds,
 alliance channeling), and :class:`CPSearch`, a first-fail
 branch-and-prune.  :class:`CPSolver` is the public solver facade: its
 default first-fail strategy runs :class:`CPSearch`, and its sequential

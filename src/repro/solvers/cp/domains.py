@@ -2,9 +2,9 @@
 
 Variables are the position variables ``T[i]`` of the CP model
 (Section 6.1); values are 0-based deployment positions.  Domains are
-Python-int bitmasks, which makes removal, intersection, and Hall-set
-reasoning cheap at the problem sizes this library targets (|I| up to a
-few hundred).
+Python-int bitmasks, which makes removal, intersection, and the
+``alldifferent`` value unions cheap at the problem sizes this library
+targets (|I| up to a few hundred).
 
 State is restored on backtrack through a trail of ``(var, old_mask)``
 entries delimited by levels, the classic CP solver design.

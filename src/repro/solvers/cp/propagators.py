@@ -2,10 +2,10 @@
 
 Three propagators cover the model's combinatorial structure:
 
-* :class:`AllDifferent` — the ``alldifferent(T)`` constraint, with
-  assigned-value elimination plus Hall-interval bounds reasoning (the
-  "single computationally efficient constraint" the paper contrasts
-  with MIP's ``|I|^2`` inequalities),
+* :class:`AllDifferent` — the ``alldifferent(T)`` constraint, by
+  forward checking and a pigeonhole check (the "single computationally
+  efficient constraint" the paper contrasts with MIP's ``|I|^2``
+  inequalities),
 * :class:`Precedence` — ``T_a < T_b`` edges from hard rules and from the
   Section-5 pre-analysis,
 * :class:`Consecutive` — alliance gluing ``T_b = T_a + 1``.
@@ -16,7 +16,7 @@ every branching decision.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.solvers.cp.domains import Conflict, DomainStore
 
@@ -33,9 +33,8 @@ class Propagator:
 class AllDifferent(Propagator):
     """All position variables take pairwise distinct values."""
 
-    def __init__(self, variables: Sequence[int], hall: bool = True) -> None:
+    def __init__(self, variables: Sequence[int]) -> None:
         self.variables = list(variables)
-        self.hall = hall
 
     def propagate(self, store: DomainStore) -> bool:
         changed = False
@@ -61,76 +60,6 @@ class AllDifferent(Propagator):
         union = store.union_mask(self.variables)
         if bin(union).count("1") < len(self.variables):
             raise Conflict("alldifferent: fewer values than variables")
-        if self.hall:
-            changed |= self._hall_intervals(store)
-        return changed
-
-    def _hall_intervals(self, store: DomainStore) -> bool:
-        """Bounds-based Hall-interval filtering.
-
-        For every value interval ``[lo, hi]``, if exactly ``hi - lo + 1``
-        variables have domains inside it, those variables saturate the
-        interval and it can be removed from everyone else; if more
-        variables are inside, the branch is infeasible.  Inside-counts
-        for all O(n^2) intervals come from a 2-D suffix/prefix sum over
-        the (min, max) bound matrix, so a full pass costs O(n^2) plus a
-        scan per saturated interval.
-        """
-        changed = False
-        n = store.n
-        bounds = [
-            (store.min_value(var), store.max_value(var))
-            for var in self.variables
-        ]
-        # matrix[lo][hi] = number of variables with exactly these bounds;
-        # loose[lo][hi] counts only non-singletons.  Saturated intervals
-        # whose members are all singletons were fully handled by forward
-        # checking, and skipping their rescans is what keeps sequential
-        # search (whose assigned prefix saturates O(k^2) subintervals)
-        # from degenerating to O(k^2 n) per propagation call.
-        matrix = [[0] * n for _ in range(n)]
-        loose = [[0] * n for _ in range(n)]
-        for vlo, vhi in bounds:
-            matrix[vlo][vhi] += 1
-            if vlo != vhi:
-                loose[vlo][vhi] += 1
-        # count[lo][hi] = #vars with vlo >= lo and vhi <= hi.
-        count = [[0] * n for _ in range(n + 1)]
-        loose_count = [[0] * n for _ in range(n + 1)]
-        for lo in range(n - 1, -1, -1):
-            row = 0
-            loose_row = 0
-            matrix_row = matrix[lo]
-            loose_matrix_row = loose[lo]
-            below = count[lo + 1]
-            loose_below = loose_count[lo + 1]
-            current = count[lo]
-            loose_current = loose_count[lo]
-            for hi in range(n):
-                row += matrix_row[hi]
-                loose_row += loose_matrix_row[hi]
-                current[hi] = below[hi] + row
-                loose_current[hi] = loose_below[hi] + loose_row
-        for lo in range(n):
-            count_row = count[lo]
-            loose_row = loose_count[lo]
-            for hi in range(lo, n):
-                width = hi - lo + 1
-                inside = count_row[hi]
-                if inside > width:
-                    raise Conflict(
-                        f"alldifferent: {inside} variables packed into "
-                        f"interval [{lo}, {hi}]"
-                    )
-                if inside == width and width < n and loose_row[hi]:
-                    interval_mask = ((1 << width) - 1) << lo
-                    for position, var in enumerate(self.variables):
-                        vlo, vhi = bounds[position]
-                        if vlo >= lo and vhi <= hi:
-                            continue
-                        if store.domain_mask(var) & interval_mask:
-                            store.set_mask(var, ~interval_mask)
-                            changed = True
         return changed
 
 

@@ -48,13 +48,11 @@ class CPModel:
         self,
         instance: ProblemInstance,
         constraints: Optional[ConstraintSet] = None,
-        hall: bool = True,
         engine: Optional[EvalEngine] = None,
     ) -> None:
         self.instance = instance
         self.constraints = constraints
         self.n = instance.n_indexes
-        self.hall = hall
         if engine is not None and engine.instance is not instance:
             engine = None  # a foreign engine's caches would be wrong
         self._engine: Optional[EvalEngine] = engine
@@ -86,9 +84,7 @@ class CPModel:
 
     def create_engine(self) -> PropagationEngine:
         """Propagators for alldifferent, precedences, and alliances."""
-        propagators = [
-            AllDifferent(list(range(self.n)), hall=self.hall)
-        ]
+        propagators = [AllDifferent(range(self.n))]
         if self.constraints is not None:
             edges = sorted(self.constraints.precedence_edges)
             if edges:
@@ -108,6 +104,7 @@ class SearchOutcome:
         self.nodes = 0
         self.failures = 0
         self.interrupted = False
+        #: ``(time.perf_counter(), objective)`` per improvement.
         self.trace: List[Tuple[float, float]] = []
 
 
@@ -137,7 +134,6 @@ class CPSearch:
         self._use_delta = delta_base is not None
         if delta_base is not None:
             self.engine.set_base(delta_base)
-        self._start = time.perf_counter()
 
     def run(self) -> SearchOutcome:
         """Execute the search; an uninterrupted run is a proof."""
@@ -210,9 +206,7 @@ class CPSearch:
         if objective < self.outcome.best_objective - 1e-12:
             self.outcome.best_objective = objective
             self.outcome.best_order = order
-            self.outcome.trace.append(
-                (time.perf_counter() - self._start, objective)
-            )
+            self.outcome.trace.append((time.perf_counter(), objective))
         else:
             self.outcome.failures += 1
 
@@ -267,30 +261,20 @@ class CPSolver(Solver):
     """Constraint-programming solver (Section 6).
 
     The greedy order is the first incumbent when it satisfies the
-    constraints (and ``seed_incumbent`` is set).
+    constraints.
 
     Args:
         strategy: ``"first_fail"`` (paper default) runs :class:`CPSearch`;
             ``"sequential"`` fills positions left to right, which is the
             exact DFS of :mod:`repro.solvers.exhaustive`.
-        hall: Enable Hall-interval filtering in ``alldifferent``.  Only
-            first-fail propagates; the sequential DFS ignores it.
-        seed_incumbent: Start from the greedy order.
     """
 
     name = "cp"
 
-    def __init__(
-        self,
-        strategy: str = "first_fail",
-        hall: bool = True,
-        seed_incumbent: bool = True,
-    ) -> None:
+    def __init__(self, strategy: str = "first_fail") -> None:
         if strategy not in ("first_fail", "sequential"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
-        self.hall = hall
-        self.seed_incumbent = seed_incumbent
         #: Engine counters of the most recent :meth:`solve` (dict form).
         self.last_engine_stats = None
 
@@ -302,24 +286,23 @@ class CPSolver(Solver):
     ) -> SolveResult:
         started = time.perf_counter()
         engine = self._engine(instance)
-        seed = greedy_order(instance, constraints) if self.seed_incumbent else None
         if self.strategy == "sequential":
             result = dfs_solve(
-                self.name, instance, constraints, budget, engine, seed, started
+                self.name, instance, constraints, budget, engine, started
             )
         else:
-            model = CPModel(instance, constraints, hall=self.hall, engine=engine)
-            search = CPSearch(model, budget=budget)
+            seed = greedy_order(instance, constraints)
+            search = CPSearch(
+                CPModel(instance, constraints, engine=engine), budget=budget
+            )
             outcome = search.outcome
-            if seed is not None and (
-                constraints is None or constraints.check_order(seed)
-            ):
+            if constraints is None or constraints.check_order(seed):
                 # As in the DFS, a feasible seed is the first incumbent
                 # and the first trace point.
-                outcome.best_order = list(seed)
+                outcome.best_order = seed
                 outcome.best_objective = engine.evaluate(seed)
                 outcome.trace.append(
-                    (time.perf_counter() - started, outcome.best_objective)
+                    (time.perf_counter(), outcome.best_objective)
                 )
             search.run()
             result = exact_result(self.name, outcome, started)

@@ -26,7 +26,7 @@ run this one search (:func:`dfs_solve`).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine, PrefixCursor
@@ -76,7 +76,6 @@ class ExhaustiveSolver(Solver):
             constraints,
             budget,
             engine,
-            greedy_order(instance, constraints),
             started,
             self.use_bound,
         )
@@ -109,20 +108,17 @@ def dfs_solve(
     constraints: Optional[ConstraintSet],
     budget: Optional[Budget],
     engine: EvalEngine,
-    start_order: Optional[Sequence[int]],
     started: float,
     use_bound: bool = True,
 ) -> SolveResult:
     """Run the exact DFS on ``engine`` and report it as solver ``name``.
 
-    ``start_order`` (if it satisfies ``constraints``) is the first
+    The greedy order (if it satisfies ``constraints``) is the first
     incumbent and the first trace point.  ``started`` is the caller's
-    ``time.perf_counter()`` at the start of its solve, so the trace and
-    the runtime include the caller's set-up.
+    ``time.perf_counter()`` at the start of its solve.
     """
-    search = _DFSState(instance, constraints, budget, use_bound, engine, started)
-    if start_order is not None:
-        search.offer(list(start_order), None)
+    search = _DFSState(instance, constraints, budget, use_bound, engine)
+    search.offer(greedy_order(instance, constraints), None)
     search.run()
     return exact_result(name, search, started)
 
@@ -131,9 +127,11 @@ def exact_result(name: str, search, started: float) -> SolveResult:
     """The :class:`SolveResult` of a finished exact search.
 
     ``search`` carries ``best_order``, ``best_objective``, ``nodes``,
-    ``interrupted`` and ``trace``.  A search that ran to completion
-    proves its incumbent optimal, or the constraints infeasible when it
-    has none.
+    ``interrupted`` and ``trace``, whose points are stamped with
+    ``time.perf_counter()``.  ``started`` is that clock at the start of
+    the caller's solve, so the trace and the runtime both count the
+    caller's set-up.  A search that ran to completion proves its
+    incumbent optimal, or the constraints infeasible when it has none.
     """
     solution = None
     status = SolveStatus.INFEASIBLE
@@ -146,7 +144,7 @@ def exact_result(name: str, search, started: float) -> SolveResult:
         solution=solution,
         runtime=time.perf_counter() - started,
         nodes=search.nodes,
-        trace=search.trace,
+        trace=[(stamp - started, value) for stamp, value in search.trace],
     )
 
 
@@ -160,7 +158,6 @@ class _DFSState:
         budget: Optional[Budget],
         use_bound: bool,
         engine: EvalEngine,
-        started: float,
     ) -> None:
         self.constraints = constraints
         self.budget = budget
@@ -190,7 +187,6 @@ class _DFSState:
         self.nodes = 0
         self.interrupted = False
         self.trace: List[tuple] = []
-        self.started = started
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -212,7 +208,7 @@ class _DFSState:
             objective = self.engine.evaluate(order)
         self.best_objective = objective
         self.best_order = order
-        self.trace.append((time.perf_counter() - self.started, objective))
+        self.trace.append((time.perf_counter(), objective))
 
     def _candidates(self, last: Optional[int]) -> List[int]:
         built = self.cursor.built

@@ -10,9 +10,9 @@ Two variants, exactly as the paper evaluates them:
   to the best non-tabu move when no improving swap exists (scales
   better, weaker moves).
 
-Recently swapped indexes are placed in probation for ``tabu_length``
-iterations; an aspiration criterion admits tabu moves that improve the
-global best.
+Recently swapped indexes are placed in probation for
+:data:`TABU_LENGTH` iterations; an aspiration criterion admits tabu
+moves that improve the global best.
 
 Swap objectives come from :class:`~repro.core.engine.EvalEngine`'s
 delta path: each candidate replays only its ``[pos_a, pos_b]``
@@ -39,6 +39,9 @@ from repro.solvers.registry import register_factory
 
 __all__ = ["TabuSolver"]
 
+#: Iterations a swapped index stays tabu.
+TABU_LENGTH = 8
+
 
 class TabuSolver(Solver):
     """Tabu search; ``variant`` is ``"best"`` (BSwap) or ``"first"`` (FSwap)."""
@@ -46,13 +49,11 @@ class TabuSolver(Solver):
     def __init__(
         self,
         variant: str = "best",
-        tabu_length: int = 8,
         initial_order: Optional[List[int]] = None,
     ) -> None:
         if variant not in ("best", "first"):
             raise ValueError(f"unknown tabu variant {variant!r}")
         self.variant = variant
-        self.tabu_length = tabu_length
         self.initial_order = initial_order
         self.name = "ts-bswap" if variant == "best" else "ts-fswap"
         #: Engine counters of the most recent :meth:`solve` (dict form);
@@ -96,8 +97,8 @@ class TabuSolver(Solver):
             x, y = order[pos_a], order[pos_b]
             order = apply_swap(order, pos_a, pos_b)
             current = engine.set_base(order)
-            tabu_until[x] = iteration + self.tabu_length
-            tabu_until[y] = iteration + self.tabu_length
+            tabu_until[x] = iteration + TABU_LENGTH
+            tabu_until[y] = iteration + TABU_LENGTH
             if objective < best_objective - 1e-12:
                 best_objective = objective
                 best_order = list(order)

@@ -6,12 +6,14 @@ knobs online.  Each restart runs one LNS relaxation
 incumbent.  Relaxations are processed in groups of ``group_size`` (20);
 after each group:
 
-* if more than ``proof_threshold`` (75%) of the group's relaxations
+* if more than :data:`PROOF_THRESHOLD` (75%) of the group's relaxations
   ended with an exhaustion *proof*, the search is stuck in a local
   minimum that is smaller than the neighborhood — grow the relaxation
-  size by 1% of the indexes;
+  size by :data:`RELAX_GROWTH_FRACTION` (1%) of the indexes;
 * otherwise the neighborhood is under-explored — grow the failure limit
-  by 20%.
+  by :data:`FAILURE_GROWTH` (20%).
+
+The paper fixes these three values, so they are module constants.
 
 The paper's fixed-parameter LNS (Section 7.2) is the same loop with
 adaptation off: :class:`LNSSolver` never completes a group.
@@ -38,6 +40,13 @@ from repro.solvers.registry import register
 
 __all__ = ["LNSSolver", "VNSSolver"]
 
+#: Share of a group's relaxations that must end in a proof to widen.
+PROOF_THRESHOLD = 0.75
+#: Relaxation growth per widening, as a share of the indexes.
+RELAX_GROWTH_FRACTION = 0.01
+#: Relative failure-limit growth when a group is under-explored.
+FAILURE_GROWTH = 0.20
+
 
 @register(
     "vns",
@@ -56,9 +65,6 @@ class VNSSolver(Solver):
         initial_relax_fraction: float = 0.05,
         initial_failure_limit: int = 100,
         group_size: int = 20,
-        proof_threshold: float = 0.75,
-        relax_growth_fraction: float = 0.01,
-        failure_growth: float = 0.20,
         seed: int = 0,
         initial_order: Optional[List[int]] = None,
         on_improvement=None,
@@ -66,9 +72,6 @@ class VNSSolver(Solver):
         self.initial_relax_fraction = initial_relax_fraction
         self.initial_failure_limit = initial_failure_limit
         self.group_size = group_size
-        self.proof_threshold = proof_threshold
-        self.relax_growth_fraction = relax_growth_fraction
-        self.failure_growth = failure_growth
         self.seed = seed
         self.initial_order = initial_order
         #: Optional callback ``(elapsed_seconds, order)`` fired on every
@@ -89,12 +92,7 @@ class VNSSolver(Solver):
         rng = random.Random(self.seed)
         n = instance.n_indexes
         order = start_order(instance, constraints, self.initial_order)
-        # Hall filtering costs O(n^2) per propagation and adds little
-        # inside a mostly-fixed neighborhood; forward checking plus
-        # precedence propagation carry the relaxation sub-searches.
-        model = CPModel(
-            instance, constraints, hall=False, engine=self._engine(instance)
-        )
+        model = CPModel(instance, constraints, engine=self._engine(instance))
         current = model.engine.evaluate(order)
         relax_size = max(2, round(self.initial_relax_fraction * n))
         failure_limit = self.initial_failure_limit
@@ -131,15 +129,15 @@ class VNSSolver(Solver):
             if proved:
                 proofs_in_group += 1
             if group_count >= self.group_size:
-                if proofs_in_group > self.proof_threshold * group_count:
+                if proofs_in_group > PROOF_THRESHOLD * group_count:
                     # Stuck in a local minimum: widen the neighborhood.
-                    growth = max(1, round(self.relax_growth_fraction * n))
+                    growth = max(1, round(RELAX_GROWTH_FRACTION * n))
                     relax_size = min(n, relax_size + growth)
                 else:
                     # Under-explored: search the same size neighborhood
                     # more thoroughly.
                     failure_limit = int(
-                        failure_limit * (1.0 + self.failure_growth)
+                        failure_limit * (1.0 + FAILURE_GROWTH)
                     ) + 1
                 group_count = 0
                 proofs_in_group = 0

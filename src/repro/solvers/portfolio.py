@@ -43,6 +43,9 @@ from repro.solvers.registry import get_spec, register_factory, solver_specs
 
 __all__ = ["PortfolioSolver", "anytime_members"]
 
+#: Smallest per-member time slice in seconds.
+MIN_SLICE = 0.05
+
 
 def anytime_members() -> Tuple[str, ...]:
     """Registry names eligible to join a portfolio.
@@ -68,15 +71,13 @@ class PortfolioSolver(Solver):
             :func:`anytime_members` resolved at solve time.
         rounds: Target number of full round-robin passes the time budget
             is divided into (more rounds = finer-grained incumbent
-            sharing, more solver-restart overhead).
-        min_slice: Smallest per-member time slice in seconds.
+            sharing, more solver-restart overhead).  Each slice lasts at
+            least :data:`MIN_SLICE`.
         seed: Base seed; stochastic members get distinct per-slice seeds
             derived from it.
         initial_order: Optional warm-start order for the shared
             incumbent (repaired into feasibility when constraints are
             given).
-        member_kwargs: Optional per-member construction overrides,
-            ``{"vns": {"group_size": 10}, ...}``.
     """
 
     name = "portfolio"
@@ -85,17 +86,13 @@ class PortfolioSolver(Solver):
         self,
         members: Optional[Sequence[str]] = None,
         rounds: int = 3,
-        min_slice: float = 0.05,
         seed: int = 0,
         initial_order: Optional[List[int]] = None,
-        member_kwargs: Optional[Dict[str, Dict]] = None,
     ) -> None:
         self.members = tuple(members) if members is not None else None
         self.rounds = max(1, rounds)
-        self.min_slice = min_slice
         self.seed = seed
         self.initial_order = initial_order
-        self.member_kwargs = dict(member_kwargs or {})
         #: Engine counters of the most recent :meth:`solve` (dict form).
         self.last_engine_stats: Optional[Dict[str, int]] = None
         #: Per-member contribution log of the most recent solve:
@@ -146,10 +143,10 @@ class PortfolioSolver(Solver):
         ]
         self.last_race_log = []
         time_limit = budget.time_limit
-        slice_length = self.min_slice
+        slice_length = MIN_SLICE
         if time_limit is not None:
             slice_length = max(
-                self.min_slice, time_limit / (self.rounds * len(specs))
+                MIN_SLICE, time_limit / (self.rounds * len(specs))
             )
         proved = False
         nodes = 0
@@ -204,15 +201,13 @@ class PortfolioSolver(Solver):
         )
 
     def _make_member(self, spec, position: int, round_id: int, incumbent):
-        kwargs = dict(self.member_kwargs.get(spec.name, {}))
+        kwargs = {}
         if spec.stochastic:
             # Distinct, deterministic seed per (member, round) so repeat
             # slices explore different neighborhoods.
-            kwargs.setdefault(
-                "seed", self.seed * 10_007 + round_id * 101 + position
-            )
+            kwargs["seed"] = self.seed * 10_007 + round_id * 101 + position
         if spec.accepts_initial_order:
-            kwargs.setdefault("initial_order", list(incumbent))
+            kwargs["initial_order"] = list(incumbent)
         return spec.create(**kwargs)
 
 

@@ -111,20 +111,13 @@ class TestAllDifferent:
         with pytest.raises(Conflict):
             engine.propagate(store)
 
-    def test_hall_interval_pruning(self):
-        store = DomainStore(3)
-        store.set_mask(0, 0b011)  # {0, 1}
-        store.set_mask(1, 0b011)  # {0, 1}
-        # {0,1} is a Hall set: var 2 loses both values.
-        AllDifferent(range(3), hall=True).propagate(store)
-        assert store.domain_values(2) == [2]
-
     def test_without_hall_weaker(self):
         store = DomainStore(3)
         store.set_mask(0, 0b011)
         store.set_mask(1, 0b011)
-        AllDifferent(range(3), hall=False).propagate(store)
-        # Value-based filtering alone cannot deduce anything here.
+        AllDifferent(range(3)).propagate(store)
+        # {0, 1} is a Hall set, but alldifferent does no Hall-interval
+        # reasoning: forward checking alone leaves var 2 unpruned.
         assert store.size(2) == 3
 
     def test_propagation_chains(self):

@@ -293,7 +293,7 @@ class TestInfeasibleWarmStart:
 
     def test_root_conflict_charges_the_budget(self):
         instance = small_synthetic(seed=0, n=6)
-        model = CPModel(instance, self._pairs(), hall=False)
+        model = CPModel(instance, self._pairs())
         budget = Budget(node_limit=1)
         found, _, proved = relax_step(
             model, [1, 0, 3, 2, 5, 4], [4, 5], float("inf"), 100, budget

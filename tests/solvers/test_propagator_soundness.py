@@ -75,9 +75,7 @@ class TestAllDifferentSoundness:
     def test_propagation_preserves_solutions(self, domains):
         before = enumerate_solutions(domains, alldifferent_feasible)
         store = store_from_domains(domains)
-        engine = PropagationEngine(
-            [AllDifferent(range(len(domains)), hall=True)]
-        )
+        engine = PropagationEngine([AllDifferent(range(len(domains)))])
         try:
             engine.propagate(store)
         except Conflict:
@@ -88,32 +86,6 @@ class TestAllDifferentSoundness:
         ]
         after = enumerate_solutions(after_domains, alldifferent_feasible)
         assert after == before
-
-    @SOUNDNESS_SETTINGS
-    @given(random_domains())
-    def test_hall_and_plain_agree_on_solutions(self, domains):
-        outcomes = []
-        for hall in (True, False):
-            store = store_from_domains(domains)
-            engine = PropagationEngine(
-                [AllDifferent(range(len(domains)), hall=hall)]
-            )
-            try:
-                engine.propagate(store)
-            except Conflict:
-                outcomes.append(None)
-                continue
-            after = [store.domain_values(v) for v in range(len(domains))]
-            outcomes.append(
-                enumerate_solutions(after, alldifferent_feasible)
-            )
-        solutions = [o for o in outcomes if o is not None]
-        if len(solutions) == 2:
-            assert solutions[0] == solutions[1]
-        else:
-            # One raised Conflict: the other must have no solutions left.
-            for o in solutions:
-                assert o == set()
 
 
 class TestPrecedenceSoundness:

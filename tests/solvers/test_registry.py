@@ -47,9 +47,9 @@ class TestDiscovery:
     def test_create_forwards_kwargs(self):
         solver = create("vns", seed=7)
         assert solver.seed == 7
-        tabu = create("ts-fswap", tabu_length=3)
+        tabu = create("ts-fswap", initial_order=[2, 0, 1])
         assert tabu.variant == "first"
-        assert tabu.tabu_length == 3
+        assert tabu.initial_order == [2, 0, 1]
 
     def test_unknown_name_raises_with_listing(self):
         with pytest.raises(SolverError, match="available:"):
