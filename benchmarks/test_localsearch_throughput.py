@@ -42,7 +42,6 @@ floor also fails the previous per-row kernel (~1.7-2.3x there).
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import statistics
@@ -57,27 +56,12 @@ from repro.experiments.instances import tpcds_instance, tpch_instance
 from repro.solvers.greedy import greedy_order
 from repro.workloads import GeneratorConfig, generate_instance
 
+from benchmarks.ledger import smoke_size, write_rows
 from tests.conftest import tpcds_shaped
 from tests.greedy_oracle import oracle_greedy_order
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_localsearch.json"
 BATCH_RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_batch.json"
-
-
-def _smoke_rounds(full: int) -> int:
-    """Round count, cut down when ``REPRO_BENCH_SMOKE=1`` (CI smoke)."""
-    if os.environ.get("REPRO_BENCH_SMOKE") == "1":
-        return max(1, full // 4)
-    return full
-
-
-def _write_rows(path: Path, rows: dict) -> None:
-    """Merge ``rows`` into the JSON ledger at ``path``, keeping the
-    rows other benchmarks wrote."""
-    path.parent.mkdir(exist_ok=True)
-    ledger = json.loads(path.read_text()) if path.exists() else {}
-    ledger.update(rows)
-    path.write_text(json.dumps(ledger, indent=1) + "\n")
 
 
 def _checkpoint_steps(n: int, first: int, stride: int) -> int:
@@ -198,17 +182,17 @@ def test_engine_beats_prefix_cached_on_tabu_scan(benchmark):
 
     def run():
         return {
-            "scan": _interleaved_ratio(instance, scan, rounds=_smoke_rounds(8)),
+            "scan": _interleaved_ratio(instance, scan, rounds=smoke_size(8)),
             "random": _interleaved_ratio(
-                instance, randoms, rounds=_smoke_rounds(3)
+                instance, randoms, rounds=smoke_size(3)
             ),
             "scattered": _interleaved_scattered_ratio(
-                instance, scattered, rounds=_smoke_rounds(3)
+                instance, scattered, rounds=smoke_size(3)
             ),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    _write_rows(RESULTS_PATH, results)
+    write_rows(RESULTS_PATH, results)
     # The engine must replay fewer steps than checkpoint replay on the
     # patterns it was built for (deterministic), and finish faster.
     # Wall-clock floors are conservative vs the measured ~2.3x / ~1.3x /
@@ -267,7 +251,7 @@ def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark, case):
     n = instance.n_indexes
     base = list(range(n))
     random.Random(0).shuffle(base)
-    rounds = _smoke_rounds(8)
+    rounds = smoke_size(8)
     # One base order per scan round: each round mutates the previous
     # order, so both kernels pay a genuine rebase + (for numpy) the
     # per-base precompute before every whole-neighborhood scan.
@@ -319,7 +303,7 @@ def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark, case):
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    _write_rows(BATCH_RESULTS_PATH, {case: results})
+    write_rows(BATCH_RESULTS_PATH, {case: results})
     assert results["batch_numpy"] == rounds
     if os.environ.get("GITHUB_ACTIONS") != "true":
         assert results["median_scan_speedup"] >= floor, results
@@ -330,7 +314,7 @@ def test_incremental_greedy_beats_full_recompute(benchmark):
     TPC-DS (n=139).  Both must return the same order; the incremental
     greedy must be >= 10x faster by the median per-round ratio."""
     instance = tpcds_instance()
-    rounds = _smoke_rounds(2)
+    rounds = smoke_size(2)
 
     def run():
         oracle_times, incremental_times = [], []
@@ -353,6 +337,6 @@ def test_incremental_greedy_beats_full_recompute(benchmark):
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    _write_rows(RESULTS_PATH, {"greedy": results})
+    write_rows(RESULTS_PATH, {"greedy": results})
     if os.environ.get("GITHUB_ACTIONS") != "true":
         assert results["median_speedup"] >= 10.0, results

@@ -2,9 +2,10 @@
 
 Each pruning property can unlock the others: fixing a tail index turns
 interior indexes into backward-disjoint ones, new precedences tighten
-dominance checks, and so on.  :func:`analyze` therefore repeats the
-enabled passes until a fixed point — no pass adds a constraint — and
-returns the accumulated :class:`ConstraintSet`.
+dominance checks, and so on.  :func:`analyze` therefore cycles through
+the enabled passes until a fixed point — every pass has run since the
+last one that added a constraint — and returns the accumulated
+:class:`ConstraintSet`.
 
 The ``properties`` string selects which passes run, using the paper's
 Table-6 drill-down letters:
@@ -48,7 +49,8 @@ class AnalysisReport:
         constraints: The accumulated constraint set (also contains the
             instance's hard precedence rules).
         added_by_property: Constraints contributed per property letter.
-        iterations: Number of full passes until the fixed point.
+        iterations: Rounds started; a round runs the enabled passes in
+            paper order, and the last one stops at the fixed point.
         elapsed: Wall-clock seconds spent.
     """
 
@@ -120,23 +122,27 @@ def analyze(
             instance, constraints, max_patterns=max_tail_patterns, engine=engine
         ),
     }
+    letters = [letter for letter in PROPERTY_ORDER if letter in enabled]
+    # A pass is a function of the constraint set alone, so once every
+    # enabled pass has run since the last one that added a constraint,
+    # none can add more.  ``quiet`` counts the passes run since then.
+    quiet = 0
     while True:
         report.iterations += 1
-        added_this_round = 0
-        for letter in PROPERTY_ORDER:
-            if letter not in enabled:
-                continue
+        for letter in letters:
             added = passes[letter]()
             report.added_by_property[letter] = (
                 report.added_by_property.get(letter, 0) + added
             )
-            added_this_round += added
+            quiet = 0 if added else quiet + 1
             if time_budget is not None and (
                 time.perf_counter() - start > time_budget
             ):
                 report.elapsed = time.perf_counter() - start
                 return report
-        if added_this_round == 0:
+            if quiet == len(letters):
+                break
+        if quiet == len(letters):
             break
     report.elapsed = time.perf_counter() - start
     return report

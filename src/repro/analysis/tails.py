@@ -21,6 +21,7 @@ runtime comes from the built-set memo of an :class:`EvalEngine`.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.constraints import ConstraintSet
@@ -107,9 +108,10 @@ def enumerate_tail_patterns(
 ) -> Optional[List[TailPattern]]:
     """Enumerate all feasible ordered tails of ``length`` within ``active``.
 
-    Returns ``None`` when the enumeration would exceed ``max_patterns``
-    (the analysis then gives up rather than pay unbounded pre-analysis
-    cost, mirroring the paper's threshold ``k``).  ``engine`` supplies
+    Returns ``None``, before scoring any pattern, when the enumeration
+    would exceed ``max_patterns`` (the analysis then gives up rather
+    than pay unbounded pre-analysis cost, mirroring the paper's
+    threshold ``k``).  ``engine`` supplies
     the built-set runtime memo; pass one to share it across calls.
     """
     if length > len(active):
@@ -121,8 +123,11 @@ def enumerate_tail_patterns(
         for t in sorted(active)
         if len(constraints.successors(t) & active) < length
     ]
-    patterns: List[TailPattern] = []
-    count = 0
+    # Every combo that passes the successor closure contributes all its
+    # ``length!`` orders to the count, feasible or not; give up before
+    # scoring any once the count exceeds ``max_patterns``.
+    orders_per_combo = math.factorial(length)
+    combos = []
     for combo in itertools.combinations(candidates, length):
         member_set = set(combo)
         # Successor closure: nothing outside the tail may be forced after
@@ -132,11 +137,14 @@ def enumerate_tail_patterns(
             for t in combo
         ):
             continue
-        preceding = EvalEngine.mask_of(active - member_set)
+        combos.append(combo)
+        if len(combos) * orders_per_combo > max_patterns:
+            return None
+    active_mask = EvalEngine.mask_of(active)
+    patterns: List[TailPattern] = []
+    for combo in combos:
+        preceding = active_mask & ~EvalEngine.mask_of(combo)
         for perm in itertools.permutations(combo):
-            count += 1
-            if count > max_patterns:
-                return None
             if not _order_feasible(constraints, active, perm):
                 continue
             objective = _tail_objective(engine, preceding, perm)

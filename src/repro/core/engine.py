@@ -27,9 +27,13 @@ capabilities:
 2. A **memo layer** keyed on frozen built-sets (bitmask-encoded): the
    weighted total runtime of a built-set is cached across lookups, so
    subset-lattice searches (A*, subset DP) and bound evaluations stop
-   recomputing identical states, and :class:`TranspositionTable`
-   lets branch-and-bound searches prune permutation prefixes that
-   reach an already-seen built-set at an equal-or-worse objective.
+   recomputing identical states.  A miss is a delta over the previous
+   miss: it keeps each query's best speed-up, rescans only the queries
+   served by the indexes that changed, and sums the per-query terms in
+   ``ProblemInstance.total_runtime``'s order, so its value is
+   bit-identical.  :class:`TranspositionTable` lets branch-and-bound
+   searches prune permutation prefixes that reach an already-seen
+   built-set at an equal-or-worse objective.
 
 3. A single **bound provider**: :meth:`suffix_bound` is the density
    relaxation that previously lived in ``solvers.base.SuffixBound``
@@ -44,6 +48,8 @@ experiment harness can report replayed steps and cache hits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -141,7 +147,10 @@ class DeployState:
     deployment step (Section 4.1: best build-helper saving, add
     ``R * C``, retire the plans the index completes) is computed; every
     replay in the engine, the exhaustive DFS, the batch kernel's base
-    trajectory and the checkpoint baseline goes through it.
+    trajectory and the checkpoint baseline goes through it.  The DFS
+    scores a child before deploying it as ``objective + runtime *
+    EvalEngine.build_cost_in(index, mask)``, the same floats this step
+    computes.
     """
 
     __slots__ = ("engine", "missing", "qbest", "built", "runtime", "objective")
@@ -364,8 +373,10 @@ class EvalEngine:
         self.qweight = [q.weight for q in instance.queries]
         self.base_runtime = instance.total_base_runtime
         self.stats = EngineStats()
-        # Built-set memo (bitmask -> weighted total runtime).
+        # Built-set memo (bitmask -> weighted total runtime), and the
+        # delta tables its misses are computed from (built on first miss).
         self._mask_runtime: Dict[int, float] = {}
+        self._query_plans: Optional[List[List[Tuple[int, float]]]] = None
         # Base-order delta state.
         self._base: Optional[Tuple[int, ...]] = None
         self._base_pos: Dict[int, int] = {}
@@ -697,17 +708,76 @@ class EvalEngine:
         return mask
 
     def runtime_of(self, built: BuiltSet) -> float:
-        """Weighted total runtime for a built-set (memoized on bitmask)."""
+        """Weighted total runtime for a built-set (memoized on bitmask).
+
+        A miss is a delta over the previous miss: only the queries whose
+        plans use an index of ``mask ^ previous`` rescan their plans,
+        and the per-query terms are summed in
+        :meth:`ProblemInstance.total_runtime`'s order, so the value is
+        bit-identical to it.
+        """
         mask = built if isinstance(built, int) else self.mask_of(built)
         cached = self._mask_runtime.get(mask)
         if cached is not None:
             self.stats.memo_hits += 1
             return cached
         self.stats.memo_misses += 1
-        members = {i for i in range(self.n) if mask >> i & 1}
-        value = self.instance.total_runtime(members)
+        if self._query_plans is None:
+            self._init_runtime_delta()
+        changed = mask ^ self._delta_mask
+        touched = set()
+        index_queries = self._index_queries
+        while changed:
+            low = changed & -changed
+            touched.update(index_queries[low.bit_length() - 1])
+            changed ^= low
+        query_plans = self._query_plans
+        query_base = self._query_base
+        qweight = self.qweight
+        terms = self._delta_terms
+        for query_id in touched:
+            best = 0.0
+            for plan_mask, speedup in query_plans[query_id]:
+                if not plan_mask & ~mask:
+                    if speedup > best:
+                        best = speedup
+                    break
+            terms[query_id] = (query_base[query_id] - best) * qweight[query_id]
+        self._delta_mask = mask
+        value = reduce(add, terms, 0.0)
         self._mask_runtime[mask] = value
         return value
+
+    def _init_runtime_delta(self) -> None:
+        """Tables for :meth:`runtime_of`'s delta, built on the first miss.
+
+        Each query's plans as ``(member bitmask, speed-up)``, fastest
+        first, so a rescan stops at the first fully built plan; the
+        queries each index's plans serve; and the per-query runtime
+        terms of the empty built-set.
+        """
+        instance = self.instance
+        plan_masks = [self.mask_of(plan.indexes) for plan in instance.plans]
+        self._query_plans = [
+            sorted(
+                (
+                    (plan_masks[p], self.plan_speedup[p])
+                    for p in instance.plans_of_query(q.query_id)
+                ),
+                key=lambda entry: -entry[1],
+            )
+            for q in instance.queries
+        ]
+        self._index_queries = [
+            sorted({self.plan_query[p] for p in plans})
+            for plans in self.plans_of_index
+        ]
+        self._query_base = [q.base_runtime for q in instance.queries]
+        self._delta_terms = [
+            base * weight
+            for base, weight in zip(self._query_base, self.qweight)
+        ]
+        self._delta_mask = 0
 
     def build_cost_in(self, index_id: int, built: BuiltSet) -> float:
         """Build cost of ``index_id`` given a built-set (best helper applied)."""

@@ -250,10 +250,13 @@ class AStarSolver(Solver):
         lattice = _Lattice(instance, constraints, self._engine(instance))
         g_score: Dict[int, float] = {0: 0.0}
         parents: Dict[int, Tuple[int, int]] = {}
-        heap: List[Tuple[float, int]] = [(lattice.heuristic(0), 0)]
+        # Entries are (f, mask, h), so the stale-entry test reuses the
+        # heuristic computed at push time.
+        root_h = lattice.heuristic(0)
+        heap: List[Tuple[float, int, float]] = [(root_h, 0, root_h)]
         nodes = 0
         while heap:
-            f_value, mask = heapq.heappop(heap)
+            f_value, mask, h_value = heapq.heappop(heap)
             if mask == lattice.full_mask:
                 elapsed = time.perf_counter() - start
                 order = _reconstruct(lattice, parents)
@@ -265,9 +268,7 @@ class AStarSolver(Solver):
                     nodes=nodes,
                     trace=[(elapsed, g_score[mask])],
                 )
-            if f_value > g_score.get(mask, float("inf")) + lattice.heuristic(
-                mask
-            ) + 1e-12:
+            if f_value > g_score.get(mask, float("inf")) + h_value + 1e-12:
                 continue  # stale heap entry
             for unit_id in range(len(lattice.units)):
                 if not lattice.expandable(unit_id, mask):
@@ -289,10 +290,8 @@ class AStarSolver(Solver):
                 if tentative < g_score.get(new_mask, float("inf")) - 1e-15:
                     g_score[new_mask] = tentative
                     parents[new_mask] = (mask, unit_id)
-                    heapq.heappush(
-                        heap,
-                        (tentative + lattice.heuristic(new_mask), new_mask),
-                    )
+                    h_new = lattice.heuristic(new_mask)
+                    heapq.heappush(heap, (tentative + h_new, new_mask, h_new))
         return SolveResult(
             solver=self.name,
             status=SolveStatus.INFEASIBLE,

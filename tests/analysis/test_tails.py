@@ -10,6 +10,7 @@ from repro.analysis.tails import (
     apply_tails,
     enumerate_tail_patterns,
 )
+from repro.core.engine import EvalEngine
 from repro.core.instance import (
     IndexDef,
     PlanDef,
@@ -67,6 +68,20 @@ class TestEnumerateTailPatterns:
                 instance, constraints, set(range(4)), length=2, max_patterns=3
             )
             is None
+        )
+
+    def test_gives_up_before_scoring(self):
+        # C(4,2) = 6 sets x 2 orders = 12 > 11: nothing is scored, so the
+        # engine sees no runtime lookup.
+        instance = laggard_instance()
+        engine = EvalEngine(instance)
+        patterns = enumerate_tail_patterns(
+            instance, ConstraintSet(4), set(range(4)), 2, 11, engine
+        )
+        assert patterns is None
+        assert engine.stats.memo_hits + engine.stats.memo_misses == 0
+        assert enumerate_tail_patterns(
+            instance, ConstraintSet(4), set(range(4)), 2, 12, engine
         )
 
     def test_length_larger_than_active_returns_empty(self):

@@ -15,6 +15,11 @@ import pytest
 from repro.core.engine import EvalEngine, PrefixCursor, TranspositionTable
 from repro.core.objective import ObjectiveEvaluator, PrefixCachedEvaluator
 from repro.errors import ValidationError
+from repro.experiments.instances import (
+    reduced_tpch,
+    tpcds_instance,
+    tpch_instance,
+)
 from repro.solvers.greedy import greedy_order
 
 from tests.conftest import make_paper_example, small_synthetic, tpcds_shaped
@@ -225,6 +230,52 @@ class TestMemoLayer:
         second = engine.new_transposition_table()
         assert not first.dominated(0b1, 1.0)
         assert not second.dominated(0b1, 2.0)  # separate searches
+
+
+def _mask_walk(n, steps, seed):
+    """Built-set masks along a random walk: mostly single-bit flips
+    (an A* child, a tail step), every tenth step a random jump."""
+    rng = random.Random(seed)
+    mask = 0
+    masks = []
+    for step in range(steps):
+        if step % 10 == 9:
+            mask = rng.getrandbits(n)
+        else:
+            mask ^= 1 << rng.randrange(n)
+        masks.append(mask)
+    return masks
+
+
+class TestRuntimeDelta:
+    """A memo miss is a delta over the previous miss's per-query bests;
+    its value must equal ``total_runtime`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(tpch_instance, id="tpch"),
+            pytest.param(tpcds_instance, id="tpcds"),
+            pytest.param(lambda: reduced_tpch(14, "mid"), id="14-mid"),
+        ],
+    )
+    def test_walk_matches_total_runtime_bit_for_bit(self, make):
+        instance = make()
+        n = instance.n_indexes
+        engine = EvalEngine(instance)
+        for mask in _mask_walk(n, 600, seed=n):
+            members = {i for i in range(n) if mask >> i & 1}
+            expected = instance.total_runtime(members)
+            assert engine.runtime_of(mask).hex() == expected.hex(), mask
+        assert engine.stats.memo_misses > 400
+
+    def test_order_evaluation_builds_no_delta_tables(self, instance, engine):
+        engine.set_base(list(range(instance.n_indexes)))
+        engine.eval_swap(0, 3)
+        engine.evaluate(list(reversed(range(instance.n_indexes))))
+        assert engine._query_plans is None
+        engine.runtime_of(0b11)
+        assert engine._query_plans is not None
 
 
 class TestPrefixCursor:
