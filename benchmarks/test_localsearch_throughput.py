@@ -23,9 +23,13 @@ A second benchmark pins the vectorized layer (``repro.core.batch``):
 the same tabu neighborhood-scan sequence runs through the scalar and
 numpy kernels of ``EvalEngine.eval_all_swaps``, interleaved scan by
 scan, and the median per-scan ratio must clear a floor *including* the
-numpy kernel's per-base precompute: >= 3x on a synthetic n=96 instance
-and >= 6x on the ``search-tpcds`` benchmark matrix (n=64).  Results
-land in ``BENCH_batch.json``, one row per instance.
+numpy kernel's per-base precompute: >= 3x on a synthetic n=96 instance,
+>= 6x on the ``search-tpcds`` benchmark matrix (n=64) and >= 3x on
+TPC-H (n=32).  Results land in ``BENCH_batch.json``, one row per
+instance.  Its ``crossover`` row runs the same A/B on reduced TPC-H
+from 9 to 22 indexes and on TPC-H: ``NUMPY_MIN_N`` is the size from
+which numpy wins, and every measured size at or above it must reach
+>= 1.2x.
 
 A third benchmark pins the incremental Algorithm-1 greedy: it and the
 full-recompute oracle (``tests/greedy_oracle.py``) run interleaved on
@@ -34,8 +38,8 @@ greedy must be >= 10x faster.  That row is ``greedy`` in
 ``BENCH_localsearch.json``.
 
 Measured on the reference box: ~2.3x (scan), ~1.3x (random), ~2.2x
-(scattered), ~29x / ~22x (numpy batch vs scalar scan, n=96 /
-search-tpcds), ~40x (greedy, n=139).  The asserted floors are
+(scattered), ~29x / ~22x / ~5.5x (numpy batch vs scalar scan, n=96 /
+search-tpcds / TPC-H), ~40x (greedy, n=139).  The asserted floors are
 deliberately conservative to absorb machine noise; the search-tpcds
 floor also fails the previous per-row kernel (~1.7-2.3x there).
 """
@@ -50,9 +54,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.batch import NUMPY_MIN_N
 from repro.core.engine import EvalEngine
 from repro.core.objective import PrefixCachedEvaluator
-from repro.experiments.instances import tpcds_instance, tpch_instance
+from repro.experiments.instances import (
+    reduced_tpch,
+    tpcds_instance,
+    tpch_instance,
+)
 from repro.solvers.greedy import greedy_order
 from repro.workloads import GeneratorConfig, generate_instance
 
@@ -210,9 +219,60 @@ def test_engine_beats_prefix_cached_on_tabu_scan(benchmark):
         assert scattered_stats["speedup"] >= 1.2, scattered_stats
 
 
+def _batch_scan_ab(instance, rounds: int) -> dict:
+    """Interleaved A/B: numpy ``eval_all_swaps`` vs the scalar delta
+    path on ``rounds`` full tabu neighborhood scans, including the
+    per-base precompute the numpy kernel pays on every rebase.
+
+    One base order per scan round: each round mutates the previous
+    order, so both kernels pay a genuine rebase + (for numpy) the
+    per-base precompute before every whole-neighborhood scan.
+    """
+    n = instance.n_indexes
+    base = list(range(n))
+    random.Random(0).shuffle(base)
+    orders = [base]
+    for r in range(rounds - 1):
+        order = orders[-1][:]
+        pos = (5 * r) % (n - 7)
+        order[pos], order[pos + 6] = order[pos + 6], order[pos]
+        orders.append(order)
+    scalar = EvalEngine(instance, kernel="scalar")
+    numpy_engine = EvalEngine(instance, kernel="numpy")
+    scalar_times, numpy_times = [], []
+    for order in orders:
+        t0 = time.perf_counter()
+        numpy_engine.set_base(order)
+        numpy_objectives, _feasible = numpy_engine.eval_all_swaps()
+        numpy_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        scalar.set_base(order)
+        scalar_objectives, _ = scalar.eval_all_swaps()
+        scalar_times.append(time.perf_counter() - t0)
+    # Parity check so the ratio cannot be won by computing the wrong
+    # thing fast.
+    assert numpy_objectives == pytest.approx(scalar_objectives, rel=1e-9)
+    stats = numpy_engine.stats
+    scan_speedups = [s / v for s, v in zip(scalar_times, numpy_times)]
+    return {
+        "scans": rounds,
+        "moves_per_scan": n * (n - 1) // 2,
+        "scalar_seconds": sum(scalar_times),
+        "numpy_seconds": sum(numpy_times),
+        "median_scalar_scan_seconds": statistics.median(scalar_times),
+        "median_numpy_scan_seconds": statistics.median(numpy_times),
+        "speedup": sum(scalar_times) / sum(numpy_times),
+        "scan_speedups": scan_speedups,
+        "median_scan_speedup": statistics.median(scan_speedups),
+        "batch_evals": stats.batch_evals,
+        "batch_moves": stats.batch_moves,
+        "batch_numpy": stats.batch_numpy,
+    }
+
+
 #: The batch ledger's rows: instance, its description, and the floor on
-#: the median per-scan numpy/scalar ratio.  ``search-tpcds`` is the
-#: end-to-end benchmark's search matrix.
+#: the median per-scan numpy/scalar ratio.  ``search-tpcds`` and
+#: ``tpch`` are the end-to-end benchmark's search matrices.
 BATCH_CASES = {
     "n96": (
         lambda: generate_instance(
@@ -229,84 +289,81 @@ BATCH_CASES = {
         {"kind": "tpcds-shaped", "n_indexes": 64, "seed": 2012},
         6.0,
     ),
+    "tpch": (tpch_instance, {"kind": "tpch", "n_indexes": 32}, 3.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_numpy_batch_beats_scalar_on_tabu_scan(benchmark, case):
-    """Interleaved A/B: numpy ``eval_all_swaps`` vs the scalar delta
-    path on full tabu neighborhood scans, including the per-base
-    precompute the numpy kernel pays on every rebase.
+    """The numpy kernel clears a floor over the scalar scan on each
+    instance ``auto`` runs it on (all are at or above ``NUMPY_MIN_N``).
 
     The floor is on the median per-scan ratio: the first numpy scan
     also pays the one-off ``FlatInstance`` lowering, and a single
     descheduled scan on a loaded box should not decide the verdict.
-
-    Both instances are above the ``auto`` kernel threshold (TPC-H's
-    n=32 legitimately stays scalar, and TPC-DS at n=139 makes a scalar
-    scan take over a second).
     """
     build, description, floor = BATCH_CASES[case]
     instance = build()
-    n = instance.n_indexes
-    base = list(range(n))
-    random.Random(0).shuffle(base)
+    assert instance.n_indexes >= NUMPY_MIN_N
     rounds = smoke_size(8)
-    # One base order per scan round: each round mutates the previous
-    # order, so both kernels pay a genuine rebase + (for numpy) the
-    # per-base precompute before every whole-neighborhood scan.
-    orders = [base]
-    for r in range(rounds - 1):
-        order = orders[-1][:]
-        pos = (5 * r) % (n - 7)
-        order[pos], order[pos + 6] = order[pos + 6], order[pos]
-        orders.append(order)
-
-    scalar = EvalEngine(instance, kernel="scalar")
-    numpy_engine = EvalEngine(instance, kernel="numpy")
-
-    def run():
-        scalar_times, numpy_times = [], []
-        last = (None, None)
-        for order in orders:
-            t0 = time.perf_counter()
-            numpy_engine.set_base(order)
-            numpy_objectives, _feasible = numpy_engine.eval_all_swaps()
-            numpy_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            scalar.set_base(order)
-            scalar_objectives, _ = scalar.eval_all_swaps()
-            scalar_times.append(time.perf_counter() - t0)
-            last = (numpy_objectives, scalar_objectives)
-        # Parity check so the ratio cannot be won by computing the
-        # wrong thing fast.
-        numpy_objectives, scalar_objectives = last
-        assert numpy_objectives == pytest.approx(scalar_objectives, rel=1e-9)
-        stats = numpy_engine.stats
-        scalar_time, numpy_time = sum(scalar_times), sum(numpy_times)
-        scan_speedups = [s / v for s, v in zip(scalar_times, numpy_times)]
-        return {
-            "instance": description,
-            "scans": rounds,
-            "moves_per_scan": n * (n - 1) // 2,
-            "scalar_seconds": scalar_time,
-            "numpy_seconds": numpy_time,
-            "median_scalar_scan_seconds": statistics.median(scalar_times),
-            "median_numpy_scan_seconds": statistics.median(numpy_times),
-            "speedup": scalar_time / numpy_time,
-            "scan_speedups": scan_speedups,
-            "median_scan_speedup": statistics.median(scan_speedups),
-            "floor": floor,
-            "batch_evals": stats.batch_evals,
-            "batch_moves": stats.batch_moves,
-            "batch_numpy": stats.batch_numpy,
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        _batch_scan_ab, args=(instance, rounds), rounds=1, iterations=1
+    )
+    results = {"instance": description, **results, "floor": floor}
     write_rows(BATCH_RESULTS_PATH, {case: results})
     assert results["batch_numpy"] == rounds
     if os.environ.get("GITHUB_ACTIONS") != "true":
         assert results["median_scan_speedup"] >= floor, results
+
+
+#: Reduced TPC-H cells (Tables 5-6) and full TPC-H, across the ``auto``
+#: kernel threshold, and the ratio required from ``NUMPY_MIN_N`` up.
+CROSSOVER_CELLS = (
+    (9, "low"), (14, "mid"), (16, "low"), (20, "low"), (21, "mid"),
+    (22, "low"), (32, None),
+)
+CROSSOVER_FLOOR = 1.2
+
+
+def test_numpy_kernel_crossover(benchmark):
+    """The median per-scan numpy/scalar ratio across instance sizes:
+    ``NUMPY_MIN_N`` is read from this row, and every measured size at
+    or above it must clear :data:`CROSSOVER_FLOOR`."""
+    rounds = smoke_size(12)
+
+    def run():
+        row = {}
+        for n, density in CROSSOVER_CELLS:
+            if density is None:
+                name, instance = "tpch", tpch_instance()
+            else:
+                name, instance = f"tpch-{n}-{density}", reduced_tpch(n, density)
+            assert instance.n_indexes == n
+            ab = _batch_scan_ab(instance, rounds)
+            row[name] = {
+                "n_indexes": n,
+                "median_scan_speedup": ab["median_scan_speedup"],
+                "median_scalar_scan_seconds": ab["median_scalar_scan_seconds"],
+                "median_numpy_scan_seconds": ab["median_numpy_scan_seconds"],
+            }
+        return row
+
+    row = benchmark.pedantic(run, rounds=1, iterations=1)
+    write_rows(
+        BATCH_RESULTS_PATH,
+        {
+            "crossover": {
+                "scans": rounds,
+                "numpy_min_n": NUMPY_MIN_N,
+                "floor": CROSSOVER_FLOOR,
+                "cells": row,
+            }
+        },
+    )
+    if os.environ.get("GITHUB_ACTIONS") != "true":
+        for name, cell in row.items():
+            if cell["n_indexes"] >= NUMPY_MIN_N:
+                assert cell["median_scan_speedup"] >= CROSSOVER_FLOOR, (name, cell)
 
 
 def test_incremental_greedy_beats_full_recompute(benchmark):

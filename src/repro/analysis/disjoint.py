@@ -66,10 +66,9 @@ def interaction_graph(instance: ProblemInstance) -> List[Set[int]]:
     return adjacency
 
 
-def disjoint_clusters(instance: ProblemInstance) -> List[Set[int]]:
-    """Connected components of the interaction graph."""
-    adjacency = interaction_graph(instance)
-    n = instance.n_indexes
+def disjoint_clusters(adjacency: Sequence[Set[int]]) -> List[Set[int]]:
+    """Connected components of an :func:`interaction_graph`."""
+    n = len(adjacency)
     seen = [False] * n
     clusters: List[Set[int]] = []
     for start in range(n):
@@ -149,7 +148,7 @@ def apply_disjoint(
     """
     added = 0
     adjacency = interaction_graph(instance)
-    clusters = disjoint_clusters(instance)
+    clusters = disjoint_clusters(adjacency)
     cluster_of: Dict[int, int] = {}
     for cluster_id, members in enumerate(clusters):
         for member in members:

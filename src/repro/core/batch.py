@@ -37,7 +37,8 @@ summation order.
 
 Kernels: ``numpy`` (this module) and ``scalar`` (the engine's delta
 path, looped).  ``auto`` picks numpy from :data:`NUMPY_MIN_N` indexes
-up — below that the per-base array setup loses to the scalar path.
+up, so TPC-H (n=32) and TPC-DS (n=139) scans are vectorized, while
+reduced TPC-H cells below that size stay scalar.
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ __all__ = [
 
 KERNELS = ("auto", "scalar", "numpy")
 
-#: ``auto`` switches to the numpy kernel at this instance size; below
-#: it a full scalar scan is already a few milliseconds and the batch
-#: per-base setup does not pay for itself.
-NUMPY_MIN_N = 48
+#: ``auto`` switches to the numpy kernel at this instance size.  A numpy
+#: scan costs about 1 ms of per-base setup whatever the size, while a
+#: scalar scan grows as n^3: on reduced TPC-H the two break even near
+#: n=15, and from n=20 numpy wins by about 1.5x (about 2x at 22, 5-6x
+#: at TPC-H's 32; the ``crossover`` row of ``BENCH_batch.json``).
+NUMPY_MIN_N = 20
 
 
 def resolve_kernel(requested: Optional[str], n: int) -> str:

@@ -50,8 +50,8 @@ def make_solver(name: str, **kwargs):
 def engine_stats_note(label: str, stats: Optional[Dict[str, int]]) -> Optional[str]:
     """Render one solver's :class:`EngineStats` dict as a table note.
 
-    The fig11 benchmark parses the ``replayed N steps`` phrase to check
-    the tabu solvers ran on the delta path; keep it stable.
+    The fig11 benchmark parses the ``N numpy batch scans`` phrase to
+    check the tabu solvers ran on the numpy kernel; keep it stable.
     """
     if not stats:
         return None

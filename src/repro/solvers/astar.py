@@ -192,16 +192,14 @@ class SubsetDPSolver(Solver):
                     if not lattice.expandable(unit_id, mask):
                         continue
                     nodes += 1
-                    if budget is not None:
-                        budget.tick()
-                        if budget.exhausted:
-                            return SolveResult(
-                                solver=self.name,
-                                status=SolveStatus.TIMEOUT,
-                                solution=None,
-                                runtime=time.perf_counter() - start,
-                                nodes=nodes,
-                            )
+                    if budget is not None and budget.tick():
+                        return SolveResult(
+                            solver=self.name,
+                            status=SolveStatus.TIMEOUT,
+                            solution=None,
+                            runtime=time.perf_counter() - start,
+                            nodes=nodes,
+                        )
                     objective_delta, _ = lattice.unit_cost(unit_id, mask)
                     new_mask = mask | lattice.unit_masks[unit_id]
                     candidate = base + objective_delta
@@ -274,16 +272,14 @@ class AStarSolver(Solver):
                 if not lattice.expandable(unit_id, mask):
                     continue
                 nodes += 1
-                if budget is not None:
-                    budget.tick()
-                    if budget.exhausted:
-                        return SolveResult(
-                            solver=self.name,
-                            status=SolveStatus.TIMEOUT,
-                            solution=None,
-                            runtime=time.perf_counter() - start,
-                            nodes=nodes,
-                        )
+                if budget is not None and budget.tick():
+                    return SolveResult(
+                        solver=self.name,
+                        status=SolveStatus.TIMEOUT,
+                        solution=None,
+                        runtime=time.perf_counter() - start,
+                        nodes=nodes,
+                    )
                 objective_delta, _ = lattice.unit_cost(unit_id, mask)
                 new_mask = mask | lattice.unit_masks[unit_id]
                 tentative = g_score[mask] + objective_delta

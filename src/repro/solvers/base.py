@@ -20,6 +20,10 @@ from repro.core.solution import SolveResult
 __all__ = ["Budget", "Solver", "glue_consecutive", "repair_order"]
 
 
+#: :meth:`Budget.tick` reads the clock once per this many ticked nodes.
+CLOCK_STRIDE = 256
+
+
 class Budget:
     """A wall-clock and node budget for one solver run.
 
@@ -35,12 +39,12 @@ class Budget:
     ) -> None:
         self.time_limit = time_limit
         self.node_limit = node_limit
-        self.nodes = 0
-        self._start = time.perf_counter()
+        self.restart()
 
     def restart(self) -> None:
         """Reset the clock and node counter."""
         self.nodes = 0
+        self._next_clock = 0
         self._start = time.perf_counter()
 
     @property
@@ -48,13 +52,25 @@ class Budget:
         """Seconds since the budget started."""
         return time.perf_counter() - self._start
 
-    def tick(self, nodes: int = 1) -> None:
-        """Account for ``nodes`` units of work."""
+    def tick(self, nodes: int = 1) -> bool:
+        """Account for ``nodes`` units of work; True once exhausted.
+
+        The node limit is checked on every tick, the clock only on the
+        first tick and then once per :data:`CLOCK_STRIDE` ticked nodes,
+        so a per-node search loop can stop on the return value without
+        paying for a clock read per node.
+        """
         self.nodes += nodes
+        if self.node_limit is not None and self.nodes >= self.node_limit:
+            return True
+        if self.time_limit is None or self.nodes < self._next_clock:
+            return False
+        self._next_clock = self.nodes + CLOCK_STRIDE
+        return self.elapsed >= self.time_limit
 
     @property
     def exhausted(self) -> bool:
-        """True once either limit is hit."""
+        """True once either limit is hit (reads the clock every call)."""
         if self.node_limit is not None and self.nodes >= self.node_limit:
             return True
         if self.time_limit is not None and self.elapsed >= self.time_limit:

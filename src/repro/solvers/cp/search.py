@@ -150,16 +150,20 @@ class CPSearch:
             if self.budget is not None:
                 self.budget.tick()
             return self.outcome
-        self._dfs(store, engine)
+        if self.budget is not None and self.budget.exhausted:
+            self.outcome.interrupted = True
+        if not self._should_stop():
+            self._dfs(store, engine)
         return self.outcome
 
     # ------------------------------------------------------------------
     def _dfs(self, store: DomainStore, engine: PropagationEngine) -> None:
-        if self._should_stop():
-            return
+        # The caller checked _should_stop() just before this node, so
+        # only the budget tick can stop it; the node still records its
+        # leaf, and the stop takes effect at the next branch.
         self.outcome.nodes += 1
-        if self.budget is not None:
-            self.budget.tick()
+        if self.budget is not None and self.budget.tick():
+            self.outcome.interrupted = True
         if store.all_assigned():
             self._record_leaf(store)
             return
@@ -182,9 +186,6 @@ class CPSearch:
 
     def _should_stop(self) -> bool:
         if self.outcome.interrupted:
-            return True
-        if self.budget is not None and self.budget.exhausted:
-            self.outcome.interrupted = True
             return True
         if (
             self.failure_limit is not None

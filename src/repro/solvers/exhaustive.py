@@ -241,12 +241,9 @@ class _DFSState:
         check; True when the node is to be expanded.
         """
         self.nodes += 1
-        budget = self.budget
-        if budget is not None:
-            budget.tick()
-            if budget.exhausted:
-                self.interrupted = True
-                return False
+        if self.budget is not None and self.budget.tick():
+            self.interrupted = True
+            return False
         if mask == self.full_mask:
             if objective < self.best_objective:
                 order = list(self.cursor.stack)

@@ -14,16 +14,25 @@ Recently swapped indexes are placed in probation for
 :data:`TABU_LENGTH` iterations; an aspiration criterion admits tabu
 moves that improve the global best.
 
-Swap objectives come from :class:`~repro.core.engine.EvalEngine`'s
-delta path: each candidate replays only its ``[pos_a, pos_b]``
-divergence window and early-exits into the base suffix, instead of
-replaying from a checkpoint to the end of the order.
+How an iteration charges its budget depends on the instance size alone.
+From :data:`WHOLE_SCAN_MIN_N` indexes it charges the whole scan at once
+and picks its move by array argmin over one ``eval_all_swaps`` matrix.
+Below that a node is one evaluated feasible move: FSwap stops at the
+first improving move, and a scan stops part-way when the budget runs
+out.  The move objectives come from the engine's kernel
+(:func:`repro.core.batch.resolve_kernel`): one numpy matrix per
+iteration, or one :meth:`~repro.core.engine.EvalEngine.eval_swap` per
+move, which replays only the move's divergence window.
+
+``SolveResult.nodes`` is the number of nodes charged to the budget.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine
@@ -41,6 +50,10 @@ __all__ = ["TabuSolver"]
 
 #: Iterations a swapped index stays tabu.
 TABU_LENGTH = 8
+
+#: From this many indexes an iteration charges its whole swap scan;
+#: below it, one node per evaluated feasible move.
+WHOLE_SCAN_MIN_N = 48
 
 
 class TabuSolver(Solver):
@@ -69,6 +82,7 @@ class TabuSolver(Solver):
         start = time.perf_counter()
         if budget is None:
             budget = Budget(time_limit=5.0)
+        charged = budget.nodes
         order = start_order(instance, constraints, self.initial_order)
         engine = self._engine(instance)
         current = engine.set_base(order)
@@ -110,7 +124,7 @@ class TabuSolver(Solver):
             status=SolveStatus.FEASIBLE,
             solution=Solution(tuple(best_order), best_objective),
             runtime=elapsed,
-            nodes=engine.stats.evaluations,
+            nodes=budget.nodes - charged,
             trace=trace,
         )
 
@@ -126,7 +140,7 @@ class TabuSolver(Solver):
         constraints: Optional[ConstraintSet],
         budget: Budget,
     ) -> Optional[Tuple[int, int, float]]:
-        if engine.batch_kernel() != "scalar":
+        if len(order) >= WHOLE_SCAN_MIN_N:
             return self._pick_move_batch(
                 order,
                 engine,
@@ -137,30 +151,24 @@ class TabuSolver(Solver):
                 constraints,
                 budget,
             )
-        # Scalar kernel: the incremental loop keeps FSwap's early exit
-        # (a batch scan would score all O(n^2) pairs before returning
-        # the first improving one) and ticks the budget per candidate.
-        n = len(order)
+        # One node per evaluated feasible move; FSwap returns the first
+        # improving one, and the scan stops where the budget runs out.
         best_move: Optional[Tuple[int, int, float]] = None
-        for pos_a in range(n - 1):
-            for pos_b in range(pos_a + 1, n):
-                if budget.exhausted:
-                    return best_move
-                x, y = order[pos_a], order[pos_b]
-                tabu = (
-                    tabu_until.get(x, 0) >= iteration
-                    or tabu_until.get(y, 0) >= iteration
-                )
-                if not swap_feasible(order, pos_a, pos_b, constraints):
-                    continue
-                objective = engine.eval_swap(pos_a, pos_b)
-                budget.tick()
-                if tabu and objective >= best_objective - 1e-12:
-                    continue  # aspiration: only global improvements pass
+        for move in _feasible_moves(order, engine, constraints):
+            exhausted = budget.tick()
+            pos_a, pos_b, objective = move
+            tabu = (
+                tabu_until.get(order[pos_a], 0) >= iteration
+                or tabu_until.get(order[pos_b], 0) >= iteration
+            )
+            # Aspiration: tabu moves pass only on a global improvement.
+            if not tabu or objective < best_objective - 1e-12:
                 if self.variant == "first" and objective < current - 1e-12:
-                    return (pos_a, pos_b, objective)
+                    return move
                 if best_move is None or objective < best_move[2] - 1e-12:
-                    best_move = (pos_a, pos_b, objective)
+                    best_move = move
+            if exhausted:
+                break
         return best_move
 
     def _pick_move_batch(
@@ -174,10 +182,9 @@ class TabuSolver(Solver):
         constraints: Optional[ConstraintSet],
         budget: Budget,
     ) -> Optional[Tuple[int, int, float]]:
-        """One kernel call scores the whole scan; only the chosen move
-        is ever materialized as an order (no per-candidate lists)."""
-        import numpy as np
-
+        """The whole-scan pick: one kernel call scores every move, the
+        budget is charged for every feasible one, and only the chosen
+        move is ever materialized as an order."""
         n = len(order)
         objectives, feasible = engine.eval_all_swaps(constraints)
         tabu = np.array(
@@ -200,6 +207,28 @@ class TabuSolver(Solver):
         flat_best = int(np.argmin(masked))
         pos_a, pos_b = divmod(flat_best, n)
         return (pos_a, pos_b, float(objectives[pos_a, pos_b]))
+
+
+def _feasible_moves(
+    order: List[int], engine: EvalEngine, constraints: Optional[ConstraintSet]
+) -> Iterator[Tuple[int, int, float]]:
+    """``(pos_a, pos_b, objective)`` of each feasible swap, row-major.
+
+    With the numpy kernel every objective comes from one
+    ``eval_all_swaps`` matrix; otherwise each is one ``eval_swap``,
+    evaluated only when the caller asks for the next move.
+    """
+    if engine.batch_kernel() == "numpy":
+        objectives, feasible = engine.eval_all_swaps(constraints)
+        rows, cols = np.nonzero(np.triu(feasible, 1))
+        values = objectives[rows, cols]
+        yield from zip(rows.tolist(), cols.tolist(), values.tolist())
+        return
+    n = len(order)
+    for pos_a in range(n - 1):
+        for pos_b in range(pos_a + 1, n):
+            if swap_feasible(order, pos_a, pos_b, constraints):
+                yield pos_a, pos_b, engine.eval_swap(pos_a, pos_b)
 
 
 register_factory(

@@ -76,17 +76,15 @@ class RandomSolver(Solver):
         best_objective = float("inf")
         trace = []
         samples = 0
-        for _ in range(self.samples):
-            if budget is not None and budget.exhausted:
-                break
+        exhausted = budget is not None and budget.exhausted
+        while samples < self.samples and not exhausted:
             order = base[:]
             rng.shuffle(order)
             if constraints is not None:
                 order = _repair(order, constraints)
             objective = evaluator.evaluate(order)
             samples += 1
-            if budget is not None:
-                budget.tick()
+            exhausted = budget is not None and budget.tick()
             if objective < best_objective:
                 best_objective = objective
                 best_order = order

@@ -83,14 +83,14 @@ class TestInteractionGraph:
 
 class TestDisjointClusters:
     def test_figure8_clusters(self):
-        clusters = disjoint_clusters(figure8_instance())
+        clusters = disjoint_clusters(interaction_graph(figure8_instance()))
         as_sets = sorted(clusters, key=lambda c: min(c))
         assert {0, 1, 2} in as_sets
         assert {3} in as_sets
 
     def test_clusters_partition_indexes(self):
         instance = figure8_instance()
-        clusters = disjoint_clusters(instance)
+        clusters = disjoint_clusters(interaction_graph(instance))
         members = sorted(m for cluster in clusters for m in cluster)
         assert members == list(range(instance.n_indexes))
 

@@ -184,6 +184,21 @@ def assert_swap_matrix_matches_scalar(instance, orders):
 
 
 class TestSwapParityAtScale:
+    def test_reduced_tpch_21_mid(self):
+        from repro.experiments.instances import reduced_tpch
+
+        instance = reduced_tpch(21, "mid")
+        assert NUMPY_MIN_N <= instance.n_indexes
+        assert_swap_matrix_matches_scalar(
+            instance, greedy_and_variants(instance, 4, seed=4)
+        )
+
+    def test_tpch(self, tpch_full):
+        assert tpch_full.n_indexes == 32
+        assert_swap_matrix_matches_scalar(
+            tpch_full, greedy_and_variants(tpch_full, 4, seed=5)
+        )
+
     def test_tpcds_shaped_n64(self):
         instance = tpcds_shaped(64)
         assert (instance.n_queries, len(instance.plans)) == (47, 1154)

@@ -13,7 +13,14 @@ from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine
 from repro.errors import InfeasibleError
 from repro.core.objective import ObjectiveEvaluator
-from repro.solvers.base import Budget, glue_consecutive, repair_order
+from repro.core.solution import SolveStatus
+from repro.solvers.base import (
+    CLOCK_STRIDE,
+    Budget,
+    glue_consecutive,
+    repair_order,
+)
+from repro.solvers.exhaustive import ExhaustiveSolver
 
 from tests.conftest import make_paper_example, small_synthetic
 
@@ -48,6 +55,25 @@ class TestBudget:
         budget.restart()
         assert budget.nodes == 0
         assert not budget.exhausted
+
+    def test_tick_returns_exhaustion_at_the_node_limit(self):
+        budget = Budget(node_limit=3)
+        assert [budget.tick() for _ in range(4)] == [False, False, True, True]
+
+    def test_tick_reads_the_clock_once_per_stride(self):
+        budget = Budget(time_limit=0.0)
+        assert budget.tick()  # the first tick reads the clock
+        assert not any(budget.tick() for _ in range(CLOCK_STRIDE - 1))
+        assert budget.tick()
+        assert budget.exhausted
+
+    def test_exhaustive_stops_on_a_time_limit(self, tpch_full):
+        start = time.perf_counter()
+        result = ExhaustiveSolver().solve(
+            tpch_full, None, Budget(time_limit=0.05)
+        )
+        assert time.perf_counter() - start < 0.5
+        assert result.status is SolveStatus.TIMEOUT
 
 
 class TestEngineSuffixBound:

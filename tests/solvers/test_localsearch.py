@@ -8,6 +8,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.analysis.constraints import ConstraintSet
+from repro.core.engine import EvalEngine
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.solution import SolveStatus
 from repro.solvers.base import Budget
@@ -23,7 +24,7 @@ from repro.solvers.localsearch.neighborhood import (
 from repro.solvers.localsearch.tabu import TabuSolver
 from repro.solvers.localsearch.vns import VNSSolver
 
-from tests.conftest import brute_force_best, small_synthetic
+from tests.conftest import brute_force_best, small_synthetic, tpcds_shaped
 
 LOCAL_SOLVERS = [
     pytest.param(TabuSolver(variant="best"), id="ts-bswap"),
@@ -251,6 +252,94 @@ class TestLNSPins:
         instance = reduced_tpch(14, "mid")
         constraints = analyze(instance, time_budget=None).constraints
         self._check(instance, constraints, seed, self.MID_14[seed])
+
+
+class TestTabuPins:
+    """Tabu and VNS orders and objective bits at fixed node budgets,
+    recorded while TPC-H's swap scans still ran on the scalar kernel.
+    TPC-H (n=32) now scores each tabu iteration and descent pass with
+    one numpy matrix and charges a node per feasible move;
+    ``tpcds_shaped(64)`` charges whole scans."""
+
+    TPCH = {
+        "best": (
+            (5, 4, 30, 13, 2, 3, 1, 14, 0, 8, 6, 26, 7, 9, 16, 18, 11, 17,
+             15, 10, 25, 19, 20, 23, 21, 12, 22, 24, 27, 28, 29, 31),
+            "0x1.75fb6bb968613p+43",
+        ),
+        "first": (
+            (5, 4, 30, 13, 2, 3, 6, 1, 26, 7, 9, 0, 8, 14, 16, 18, 11, 17,
+             15, 10, 25, 19, 20, 23, 21, 12, 22, 24, 27, 28, 29, 31),
+            "0x1.764ab5cd8d816p+43",
+        ),
+    }
+    TPCDS_SHAPED = {
+        "best": (
+            (57, 26, 47, 33, 12, 37, 25, 4, 0, 16, 31, 56, 27, 24, 21, 36,
+             9, 46, 59, 44, 34, 39, 55, 58, 50, 18, 53, 19, 45, 8, 51, 2, 6,
+             38, 29, 13, 52, 35, 22, 15, 42, 62, 14, 43, 10, 63, 54, 32, 20,
+             23, 61, 5, 28, 40, 48, 7, 30, 60, 49, 11, 1, 17, 3, 41),
+            "0x1.6afd6884d79b4p+22",
+        ),
+        "first": (
+            (47, 0, 57, 33, 12, 37, 25, 4, 26, 16, 31, 56, 27, 24, 21, 36,
+             9, 46, 59, 51, 34, 39, 55, 58, 8, 18, 53, 19, 45, 50, 44, 2, 6,
+             38, 29, 13, 52, 35, 61, 15, 42, 62, 14, 43, 10, 63, 54, 32, 3,
+             23, 22, 5, 28, 40, 48, 7, 30, 60, 49, 11, 1, 17, 20, 41),
+            "0x1.8186a18e440bap+22",
+        ),
+    }
+    VNS_TPCH = {
+        1: (
+            (5, 4, 30, 13, 2, 1, 3, 14, 8, 6, 26, 7, 9, 16, 18, 11, 0, 17,
+             15, 10, 25, 19, 20, 23, 21, 12, 22, 24, 27, 28, 29, 31),
+            "0x1.75fd73caff4cep+43",
+        ),
+        2: (
+            (1, 5, 4, 30, 13, 2, 3, 0, 8, 14, 6, 26, 7, 9, 16, 18, 11, 17,
+             15, 10, 25, 19, 20, 23, 21, 12, 22, 24, 27, 28, 29, 31),
+            "0x1.7601a38ce61ebp+43",
+        ),
+        3: (
+            (5, 4, 30, 13, 2, 3, 6, 1, 26, 7, 8, 9, 14, 16, 0, 18, 11, 17,
+             15, 10, 25, 19, 20, 23, 21, 12, 22, 24, 27, 28, 29, 31),
+            "0x1.764b16f0b5562p+43",
+        ),
+    }
+
+    @staticmethod
+    def _check(solver, instance, nodes, pin):
+        engine = solver.engine = EvalEngine(instance)
+        result = solver.solve(instance, None, Budget(node_limit=nodes))
+        order, objective = pin
+        assert result.solution.order == order
+        assert result.solution.objective.hex() == objective
+        return result, engine.stats
+
+    @pytest.mark.parametrize("variant", ["best", "first"])
+    def test_tpch(self, tpch_full, variant):
+        result, stats = self._check(
+            TabuSolver(variant=variant), tpch_full, 40_000, self.TPCH[variant]
+        )
+        assert stats.batch_numpy > 0
+        # One node per evaluated feasible move, not per scored move.
+        assert result.nodes == 40_000
+
+    @pytest.mark.parametrize("variant", ["best", "first"])
+    def test_tpcds_shaped_n64(self, variant):
+        self._check(
+            TabuSolver(variant=variant),
+            tpcds_shaped(64),
+            8_000,
+            self.TPCDS_SHAPED[variant],
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_vns_tpch(self, tpch_full, seed):
+        _, stats = self._check(
+            VNSSolver(seed=seed), tpch_full, 15_000, self.VNS_TPCH[seed]
+        )
+        assert stats.batch_numpy > 0
 
 
 @contextmanager
