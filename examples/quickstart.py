@@ -85,7 +85,7 @@ def main() -> None:
     print("\n-- Solvers --")
     results = {
         "greedy": GreedySolver().solve(instance, report.constraints),
-        "cp (exact)": CPSolver(strategy="sequential").solve(
+        "cp (exact)": CPSolver().solve(
             instance, report.constraints, Budget(time_limit=10.0)
         ),
         "vns": VNSSolver().solve(

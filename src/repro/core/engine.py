@@ -86,14 +86,12 @@ class EngineStats:
         full_evals: Complete-order evaluations (full replay).
         delta_evals: Move evaluations answered through the base-order
             delta path.
-        prefix_evals: Partial-order evaluations served by the shared
-            prefix cursor (tree-search bound checks).
+        prefix_evals: Partial-order evaluations (``evaluate_prefix``).
         replayed_steps: Deployment steps actually replayed by the delta
             path (cursor re-alignment plus divergence windows).
-        prefix_steps: Steps replayed for state maintenance — tree-search
-            bound checks and ``set_base`` re-alignment — kept out of
-            ``replayed_steps`` so that counter measures move evaluation
-            alone.
+        prefix_steps: Steps replayed for ``set_base`` re-alignment, kept
+            out of ``replayed_steps`` so that counter measures move
+            evaluation alone.
         memo_hits: Built-set runtime memo hits.
         memo_misses: Built-set runtime memo misses.
         tt_states: Distinct built-sets recorded by transposition tables.
@@ -230,7 +228,7 @@ class PrefixCursor(DeployState):
 
     Successive prefixes that share a common stem cost only the
     difference — the mechanics behind the engine's delta evaluation,
-    the CP prefix bound checks and the exhaustive DFS.  A pop restores
+    the exhaustive DFS and its LNS/VNS relaxations.  A pop restores
     the exact prior floats (no subtract-back drift), which the
     transposition tables' dominance checks rely on.
     """
@@ -382,9 +380,6 @@ class EvalEngine:
         self._base_pos: Dict[int, int] = {}
         self._base_obj_prefix: List[float] = [0.0]
         self._base_cursor = PrefixCursor(self)
-        # Arbitrary-prefix cursor for tree-search bound checks (kept
-        # separate so prefix_state() never disturbs the delta base).
-        self._path_cursor: Optional[PrefixCursor] = None
         # Bound-provider data, built on first use.
         self._bound_ready = False
         # Batch-kernel state: the flattened arrays persist across bases,
@@ -426,19 +421,6 @@ class EvalEngine:
             elapsed += self.build_cost_in(index_id, mask)
             mask |= 1 << index_id
         return state.objective, state.runtime, elapsed
-
-    def prefix_state(self, prefix: Sequence[int]) -> Tuple[float, float]:
-        """``(objective, runtime)`` of a prefix via the shared cursor.
-
-        Successive calls that share a stem (a DFS walking its tree) pay
-        only for the differing steps.
-        """
-        if self._path_cursor is None:
-            self._path_cursor = PrefixCursor(self)
-        self.stats.prefix_evals += 1
-        cursor = self._path_cursor
-        self.stats.prefix_steps += cursor.align(prefix)
-        return cursor.objective, cursor.runtime
 
     # ------------------------------------------------------------------
     # Base-order delta evaluation

@@ -57,8 +57,6 @@ def local_search_traces(
                 kwargs["initial_order"] = initial
             if spec.stochastic:
                 kwargs["seed"] = seed
-            if method == "cp":
-                kwargs["strategy"] = "sequential"
             solver = make_solver(method, **kwargs)
             result = solver.solve(
                 instance, constraints, Budget(time_limit=time_limit)

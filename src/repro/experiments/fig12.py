@@ -70,6 +70,12 @@ def run(
         "paper shape: VNS best at every time range; TS-BSwap strong but "
         "slow per iteration; CP stuck at the greedy start"
     )
+    table.add_note(
+        "deviation from Section 7.3: VNS polishes every new incumbent "
+        "with a full best-improvement swap descent (the paper's VNS has "
+        "no swap polish); its curve has a point per improving relaxation "
+        "and per improving descent pass"
+    )
     for method in methods:
         note = engine_stats_note(method, engine_stats.get(method))
         if note is not None:

@@ -6,9 +6,9 @@ mid density; cells are minutes, "DF" for did-not-finish.
 
 Scaled reproduction: Python solvers get a per-cell wall-clock budget
 (default 10 s, 60 s with ``REPRO_FULL=1``); the full grid is the
-paper's, the quick grid smaller.  CP and CP+ run CP's sequential
-strategy, which is the exact DFS of the exhaustive solver (density
-suffix bound, built-set transposition table), so a note gives each
+paper's, the quick grid smaller.  CP and CP+ run the exact DFS of
+the exhaustive solver (density suffix bound, built-set transposition
+table), so a note gives each
 CP/CP+ cell's node count: the gap the Section-5 constraints make stays
 visible where both rows prove in milliseconds.  VNS finds the
 optimum-quality solution in every cell without a proof.
@@ -70,7 +70,7 @@ def solve_cell(
     if base == "mip":
         solver = make_solver("mip", steps_per_index=3)
     elif base == "cp":
-        solver = make_solver("cp", strategy="sequential")
+        solver = make_solver("cp")
     elif base == "vns":
         solver = make_solver("vns")
         budget = Budget(time_limit=min(time_limit, 3.0))

@@ -7,8 +7,8 @@ buys orders of magnitude (the paper computes a cumulative speed-up of at
 least 2.7e26 on the 31-index instance).
 
 The reproduction runs the same cumulative ladder with scaled budgets.
-Each cell is CP's sequential strategy, which is the exact DFS of the
-exhaustive solver (density suffix bound, built-set transposition table).
+Each cell is CP, which is the exact DFS of the exhaustive solver
+(density suffix bound, built-set transposition table).
 The table also reports the implied-pair count each rung contributes,
 which is the mechanism behind the speed-up, and a note per rung gives
 its DFS node count per size.
@@ -36,7 +36,7 @@ def _cell_payload(properties: str, size: int, time_limit: float) -> Dict[str, An
     instance = reduced_tpch(size, "low")
     report = analyze(instance, properties=properties, time_budget=10.0)
     implied = report.constraints.implied_pair_count()
-    result = CPSolver(strategy="sequential").solve(
+    result = CPSolver().solve(
         instance, report.constraints, Budget(time_limit=time_limit)
     )
     if result.status is SolveStatus.OPTIMAL:

@@ -15,7 +15,7 @@ CLI, experiment harness, and examples resolve solvers by name through
 
 from repro.solvers.astar import AStarSolver, SubsetDPSolver
 from repro.solvers.base import Budget, Solver, glue_consecutive, repair_order
-from repro.solvers.cp import CPModel, CPSearch, CPSolver
+from repro.solvers.cp import CPSolver
 from repro.solvers.dp import DPSolver, dp_order, interaction_weights
 from repro.solvers.exhaustive import ExhaustiveSolver
 from repro.solvers.greedy import GreedySolver, greedy_order
@@ -55,8 +55,6 @@ __all__ = [
     "SubsetDPSolver",
     "AStarSolver",
     "CPSolver",
-    "CPModel",
-    "CPSearch",
     "MIPSolver",
     "TabuSolver",
     "LNSSolver",

@@ -15,7 +15,9 @@ yields
   Chaudhuri suggested but did not implement.
 
 Consecutive (alliance) pairs are honored by collapsing each glued chain
-into an atomic *unit* that is deployed in one expansion.
+into an atomic *unit* that is deployed in one expansion.  A search the
+budget stops returns the greedy order, when it satisfies the
+constraints, with status TIMEOUT.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.core.instance import ProblemInstance
 from repro.core.solution import Solution, SolveResult, SolveStatus
 from repro.errors import ValidationError
 from repro.solvers.base import Budget, Solver
+from repro.solvers.greedy import greedy_order
 from repro.solvers.registry import register
 
 __all__ = ["SubsetDPSolver", "AStarSolver"]
@@ -143,6 +146,26 @@ def _reconstruct(
     return order
 
 
+def _timeout(
+    name: str, lattice: _Lattice, start: float, nodes: int
+) -> SolveResult:
+    """A TIMEOUT result carrying the greedy order, computed only now
+    that the budget has run out, when it satisfies the constraints."""
+    order = greedy_order(lattice.instance, lattice.constraints)
+    solution = None
+    if lattice.constraints is None or lattice.constraints.check_order(order):
+        solution = Solution(tuple(order), lattice.engine.evaluate(order))
+    elapsed = time.perf_counter() - start
+    return SolveResult(
+        solver=name,
+        status=SolveStatus.TIMEOUT,
+        solution=solution,
+        runtime=elapsed,
+        nodes=nodes,
+        trace=[] if solution is None else [(elapsed, solution.objective)],
+    )
+
+
 @register(
     "subset-dp",
     summary="Held-Karp DP over the built-set lattice (exact, small n)",
@@ -193,13 +216,7 @@ class SubsetDPSolver(Solver):
                         continue
                     nodes += 1
                     if budget is not None and budget.tick():
-                        return SolveResult(
-                            solver=self.name,
-                            status=SolveStatus.TIMEOUT,
-                            solution=None,
-                            runtime=time.perf_counter() - start,
-                            nodes=nodes,
-                        )
+                        return _timeout(self.name, lattice, start, nodes)
                     objective_delta, _ = lattice.unit_cost(unit_id, mask)
                     new_mask = mask | lattice.unit_masks[unit_id]
                     candidate = base + objective_delta
@@ -273,13 +290,7 @@ class AStarSolver(Solver):
                     continue
                 nodes += 1
                 if budget is not None and budget.tick():
-                    return SolveResult(
-                        solver=self.name,
-                        status=SolveStatus.TIMEOUT,
-                        solution=None,
-                        runtime=time.perf_counter() - start,
-                        nodes=nodes,
-                    )
+                    return _timeout(self.name, lattice, start, nodes)
                 objective_delta, _ = lattice.unit_cost(unit_id, mask)
                 new_mask = mask | lattice.unit_masks[unit_id]
                 tentative = g_score[mask] + objective_delta

@@ -27,14 +27,16 @@ dominance check and so are never deployed.
 Candidates branch in CP's static density order (:func:`branching_order`).
 Precedence constraints restrict which index may be placed next;
 consecutive (alliance) pairs force the glued successor immediately.
-:class:`ExhaustiveSolver` and ``CPSolver(strategy="sequential")`` both
-run this one search (:func:`dfs_solve`).
+:class:`ExhaustiveSolver` and its subclass ``CPSolver`` run this one
+search (:meth:`DFSState.solve`), and every LNS/VNS relaxation runs it
+with pinned slots (:meth:`DFSState.relax`).
 """
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine, PrefixCursor
@@ -44,7 +46,7 @@ from repro.solvers.base import Budget, Solver
 from repro.solvers.greedy import greedy_order
 from repro.solvers.registry import register
 
-__all__ = ["ExhaustiveSolver", "branching_order", "dfs_solve", "exact_result"]
+__all__ = ["DFSState", "ExhaustiveSolver", "branching_order"]
 
 
 @register(
@@ -55,18 +57,17 @@ __all__ = ["ExhaustiveSolver", "branching_order", "dfs_solve", "exact_result"]
 class ExhaustiveSolver(Solver):
     """Exact DFS branch-and-bound over index permutations.
 
-    The greedy order is the first incumbent when it satisfies the
-    constraints.
-
-    Args:
-        use_bound: Prune with the engine's density-relaxation suffix
-            bound.
+    The greedy order is the first incumbent and the first trace point
+    when it satisfies the constraints.  A search that runs to completion
+    proves its incumbent optimal, or the constraints infeasible when it
+    has none.  Trace points are stamped with ``time.perf_counter()``
+    less the solve's start, so the trace counts the set-up and never
+    runs backwards.
     """
 
     name = "exhaustive"
 
-    def __init__(self, use_bound: bool = True) -> None:
-        self.use_bound = use_bound
+    def __init__(self) -> None:
         #: Engine counters of the most recent :meth:`solve` (dict form).
         self.last_engine_stats = None
 
@@ -78,17 +79,24 @@ class ExhaustiveSolver(Solver):
     ) -> SolveResult:
         started = time.perf_counter()
         engine = self._engine(instance)
-        result = dfs_solve(
-            self.name,
-            instance,
-            constraints,
-            budget,
-            engine,
-            started,
-            self.use_bound,
-        )
+        search = DFSState(instance, constraints, engine)
+        search.solve(greedy_order(instance, constraints), budget)
         self.last_engine_stats = engine.stats.as_dict()
-        return result
+        solution = None
+        status = SolveStatus.INFEASIBLE
+        if search.best_order is not None:
+            solution = Solution(
+                tuple(search.best_order), search.best_objective
+            )
+            status = SolveStatus.OPTIMAL
+        return SolveResult(
+            solver=self.name,
+            status=SolveStatus.TIMEOUT if search.interrupted else status,
+            solution=solution,
+            runtime=time.perf_counter() - started,
+            nodes=search.nodes,
+            trace=[(stamp - started, value) for stamp, value in search.trace],
+        )
 
 
 def branching_order(instance: ProblemInstance) -> List[int]:
@@ -110,70 +118,28 @@ def branching_order(instance: ProblemInstance) -> List[int]:
     return [index_id for _, index_id in sorted(densities)]
 
 
-def dfs_solve(
-    name: str,
-    instance: ProblemInstance,
-    constraints: Optional[ConstraintSet],
-    budget: Optional[Budget],
-    engine: EvalEngine,
-    started: float,
-    use_bound: bool = True,
-) -> SolveResult:
-    """Run the exact DFS on ``engine`` and report it as solver ``name``.
+class DFSState:
+    """DFS machinery over one :class:`PrefixCursor` of the engine.
 
-    The greedy order (if it satisfies ``constraints``) is the first
-    incumbent and the first trace point.  ``started`` is the caller's
-    ``time.perf_counter()`` at the start of its solve.
+    The branching order, the predecessor masks and the cursor are set up
+    once per instance and constraint set.  :meth:`solve` searches every
+    order; :meth:`relax` searches those that keep every index outside a
+    free set at its slot of a given order, which is one LNS/VNS
+    relaxation (:func:`~repro.solvers.localsearch.lns.relax_step`), so
+    VNS builds one of these per solve and runs all its relaxations on
+    it.
     """
-    search = _DFSState(instance, constraints, budget, use_bound, engine)
-    search.offer(greedy_order(instance, constraints), None)
-    search.run()
-    return exact_result(name, search, started)
-
-
-def exact_result(name: str, search, started: float) -> SolveResult:
-    """The :class:`SolveResult` of a finished exact search.
-
-    ``search`` carries ``best_order``, ``best_objective``, ``nodes``,
-    ``interrupted`` and ``trace``, whose points are stamped with
-    ``time.perf_counter()``.  ``started`` is that clock at the start of
-    the caller's solve, so the trace and the runtime both count the
-    caller's set-up.  A search that ran to completion proves its
-    incumbent optimal, or the constraints infeasible when it has none.
-    """
-    solution = None
-    status = SolveStatus.INFEASIBLE
-    if search.best_order is not None:
-        solution = Solution(tuple(search.best_order), search.best_objective)
-        status = SolveStatus.OPTIMAL
-    return SolveResult(
-        solver=name,
-        status=SolveStatus.TIMEOUT if search.interrupted else status,
-        solution=solution,
-        runtime=time.perf_counter() - started,
-        nodes=search.nodes,
-        trace=[(stamp - started, value) for stamp, value in search.trace],
-    )
-
-
-class _DFSState:
-    """DFS machinery over one :class:`PrefixCursor` of the engine."""
 
     def __init__(
         self,
         instance: ProblemInstance,
         constraints: Optional[ConstraintSet],
-        budget: Optional[Budget],
-        use_bound: bool,
         engine: EvalEngine,
     ) -> None:
         self.constraints = constraints
-        self.budget = budget
-        self.use_bound = use_bound
         self.engine = engine
         self.n = instance.n_indexes
         self.order = branching_order(instance)
-        self.transpositions = engine.new_transposition_table()
         # Index i is a candidate once required[i] is built: its known
         # predecessors, and for the first member of a consecutive pair
         # also those of the members glued after it.
@@ -184,22 +150,93 @@ class _DFSState:
             self.required = [
                 constraints.chain_predecessor_mask(i) for i in range(self.n)
             ]
-        # Search state: the cursor's undo records restore the exact
-        # prior floats, so drift-free prefix objectives feed the
-        # transposition-table dominance check.
+        # The cursor's undo records restore the exact prior floats, so
+        # drift-free prefix objectives feed the transposition-table
+        # dominance check, and a relaxation's leaves are exact.
         self.cursor = PrefixCursor(engine)
-        self.built_mask = 0
         self.full_mask = (1 << self.n) - 1
+
+    def _start(
+        self,
+        budget: Optional[Budget],
+        branching: List[int],
+        pins: Optional[List[int]],
+        failure_limit: float,
+    ) -> None:
+        """Reset the per-run state: incumbent, counters, table."""
+        self.budget = budget
+        self.branching = branching
+        self.pins = pins
+        self.pinned_mask = 0
+        self.failure_limit = failure_limit
+        self.transpositions = self.engine.new_transposition_table()
+        # A relaxation counts a dominated child as a failure; the full
+        # search has no failure limit and checks dominance directly.
+        self.dominated = (
+            self.transpositions.dominated if pins is None else self._dominated
+        )
         self.best_order: Optional[List[int]] = None
         self.best_objective = float("inf")
         self.nodes = 0
+        self.failures = 0
         self.interrupted = False
         self.trace: List[tuple] = []
 
     # ------------------------------------------------------------------
-    def run(self) -> None:
-        if self._visit(None, self.cursor.objective, self.built_mask):
+    def solve(self, start: List[int], budget: Optional[Budget]) -> None:
+        """Search every order; ``start`` is offered as the first incumbent."""
+        self._start(budget, self.order, None, math.inf)
+        self.cursor.align(())
+        self.built_mask = 0
+        self.offer(start, None)
+        if self._visit(None, self.cursor.objective, 0):
             self._expand(None)
+
+    def relax(
+        self,
+        order: Sequence[int],
+        free: Sequence[int],
+        incumbent: float,
+        failure_limit: float,
+        budget: Optional[Budget],
+    ) -> None:
+        """Search for the best order below ``incumbent`` that keeps every
+        index outside ``free`` at its slot of ``order``.
+
+        The prefix before the first free slot is aligned on the cursor,
+        which is the root.  Free indexes branch in the density order at
+        free slots only, and each pinned slot takes its own index,
+        deployed without a node of its own.  The root and every
+        free-slot child charge one node; bound prunes, dominated
+        children, leaves that do not improve and dead ends count as
+        failures, and the search stops once they exceed
+        ``failure_limit``.  A pinned prefix that breaks the constraints
+        is a dead root: one node, and a proof that the neighborhood
+        holds nothing.
+        """
+        free_mask = self.engine.mask_of(free)
+        # pins[k]: the index held at slot k, or -1 at a free slot.
+        pins = [-1 if free_mask >> i & 1 else i for i in order]
+        branching = [i for i in self.order if free_mask >> i & 1]
+        self._start(budget, branching, pins, failure_limit)
+        self.pinned_mask = self.full_mask & ~free_mask
+        self.best_objective = incumbent
+        first = pins.index(-1) if free_mask else self.n
+        last = None
+        mask = 0
+        for index_id in order[:first]:
+            if not self._fits(index_id, last, mask):
+                self.nodes += 1
+                self.failures += 1
+                if budget is not None:
+                    budget.tick()
+                return
+            last = index_id
+            mask |= 1 << index_id
+        self.cursor.align(order[:first])
+        self.built_mask = mask
+        if self._visit(None, self.cursor.objective, mask):
+            self._expand(last)
 
     def offer(self, order: List[int], objective: Optional[float]) -> None:
         """Make ``order`` the incumbent if it satisfies the constraints.
@@ -219,15 +256,39 @@ class _DFSState:
         self.best_order = order
         self.trace.append((time.perf_counter(), objective))
 
+    def _fail(self) -> None:
+        """Count a failure; past the failure limit the search stops."""
+        self.failures += 1
+        if self.failures > self.failure_limit:
+            self.interrupted = True
+
+    def _dominated(self, mask: int, objective: float) -> bool:
+        """A relaxation's dominance check: a pruned child is a failure."""
+        if self.transpositions.dominated(mask, objective):
+            self._fail()
+            return True
+        return False
+
+    def _fits(self, index_id: int, last: Optional[int], mask: int) -> bool:
+        """True when ``index_id`` may follow ``last`` on built-set ``mask``."""
+        forced = self.consecutive_after.get(last)
+        if forced is not None and forced != index_id:
+            if not mask >> forced & 1:
+                return False
+        return not self.required[index_id] & ~mask
+
     def _candidates(self, last: Optional[int]) -> List[int]:
         built = self.cursor.built
         forced = self.consecutive_after.get(last)
         if forced is not None and not built[forced]:
-            return [forced]
+            # A pinned follower cannot take a free slot.
+            return [] if self.pinned_mask >> forced & 1 else [forced]
         waiting = ~self.built_mask
         required = self.required
         return [
-            i for i in self.order if not built[i] and not required[i] & waiting
+            i
+            for i in self.branching
+            if not built[i] and not required[i] & waiting
         ]
 
     def _visit(
@@ -250,28 +311,37 @@ class _DFSState:
                 if index_id is not None:
                     order.append(index_id)
                 self.offer(order, objective)
+            else:
+                self._fail()
             return False
         # Built-set dominance: the same set reached before at an
         # equal-or-better objective completes at least as cheaply.  The
         # candidate set is a function of the built-set alone (a pending
         # alliance forces an identical last element for every prefix
-        # sharing the mask), so the prune is exact.
-        return not self.transpositions.dominated(mask, objective)
+        # sharing the mask, and a pinned slot holds the same index), so
+        # the prune is exact.
+        return not self.dominated(mask, objective)
 
     def _expand(self, last: Optional[int]) -> None:
         """Bound the node on the cursor, then visit and expand its children."""
         cursor = self.cursor
+        if self.pins is not None and self.pins[cursor.depth] >= 0:
+            self._expand_pinned(last)
+            return
         objective = cursor.objective
         mask = self.built_mask
-        if self.use_bound:
-            bound = objective + self.engine.suffix_bound(cursor.runtime, mask)
-            if bound >= self.best_objective - 1e-12:
-                return
+        bound = objective + self.engine.suffix_bound(cursor.runtime, mask)
+        if bound >= self.best_objective - 1e-12:
+            self._fail()
+            return
+        candidates = self._candidates(last)
+        if not candidates:
+            self._fail()
         # A child's objective is the one DeployState.deploy reaches, so
         # it is scored without deploying; only survivors are pushed.
         runtime = cursor.runtime
         build_cost_in = self.engine.build_cost_in
-        for candidate in self._candidates(last):
+        for candidate in candidates:
             child_mask = mask | 1 << candidate
             if self._visit(
                 candidate,
@@ -285,3 +355,33 @@ class _DFSState:
                 self.built_mask = mask
             if self.interrupted:
                 return
+
+    def _expand_pinned(self, last: Optional[int]) -> None:
+        """Deploy the pinned slots up to the next free one, then expand
+        there, or offer the leaf they complete; a pinned index whose
+        constraints do not hold is a dead end."""
+        cursor = self.cursor
+        pins = self.pins
+        mask = self.built_mask
+        depth = cursor.depth
+        pushed = 0
+        while depth < self.n and pins[depth] >= 0:
+            index_id = pins[depth]
+            if not self._fits(index_id, last, self.built_mask):
+                self._fail()
+                break
+            cursor.push(index_id)
+            self.built_mask |= 1 << index_id
+            last = index_id
+            depth += 1
+            pushed += 1
+        else:
+            if depth < self.n:
+                self._expand(last)
+            elif cursor.objective < self.best_objective:
+                self.offer(list(cursor.stack), cursor.objective)
+            else:
+                self._fail()
+        for _ in range(pushed):
+            cursor.pop()
+        self.built_mask = mask

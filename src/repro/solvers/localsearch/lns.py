@@ -1,55 +1,42 @@
-"""One Large Neighborhood Search relaxation over the CP model (Section 7.2).
+"""One Large Neighborhood Search relaxation (Section 7.2).
 
-A relaxation frees a random subset of the position variables, fixes
-everything else at its current position, and runs a CP branch-and-prune
-over the freed variables with a failure limit.  It ends when the CP
-search either proves the neighborhood holds no better solution or hits
-the failure limit.  :class:`~repro.solvers.localsearch.vns.VNSSolver`
+A relaxation frees a random subset of the indexes, keeps every other
+index at its slot of the current order, and runs the exact DFS over the
+free ones with a failure limit
+(:meth:`~repro.solvers.exhaustive.DFSState.relax`).  It ends when the
+search either proves the neighborhood holds no better order or hits the
+failure limit.  :class:`~repro.solvers.localsearch.vns.VNSSolver`
 drives these relaxations; ``LNSSolver`` is VNS with adaptation off.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.solvers.base import Budget
-from repro.solvers.cp.search import CPModel, CPSearch
+from repro.solvers.exhaustive import DFSState
 
 __all__ = ["relax_step"]
 
 
 def relax_step(
-    model: CPModel,
+    search: DFSState,
     order: List[int],
     relax_vars: List[int],
     incumbent: float,
     failure_limit: int,
     budget: Optional[Budget],
 ) -> Tuple[Optional[List[int]], Optional[float], bool]:
-    """Run one LNS relaxation.
+    """Run one LNS relaxation on ``search``.
 
-    Fixes every variable outside ``relax_vars`` to its position in
-    ``order`` and searches the rest.  Returns
+    Keeps every index outside ``relax_vars`` at its slot in ``order``
+    and searches the rest for an order below ``incumbent``.  Returns
     ``(improved_order, improved_objective, proved)`` where ``proved`` is
-    True when the CP search exhausted the neighborhood (no better
-    solution exists in it).
+    True when the search exhausted the neighborhood (no better order
+    exists in it).
     """
-    relax_set = set(relax_vars)
-    fixed: Dict[int, int] = {
-        var: position
-        for position, var in enumerate(order)
-        if var not in relax_set
-    }
-    search = CPSearch(
-        model,
-        incumbent=incumbent,
-        failure_limit=failure_limit,
-        budget=budget,
-        fixed=fixed,
-        delta_base=order,
-    )
-    outcome = search.run()
-    proved = not outcome.interrupted
-    if outcome.best_order is not None:
-        return outcome.best_order, outcome.best_objective, proved
+    search.relax(order, relax_vars, incumbent, failure_limit, budget)
+    proved = not search.interrupted
+    if search.best_order is not None:
+        return search.best_order, search.best_objective, proved
     return None, None, proved

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,15 +153,17 @@ def batch_swap_descent(
     constraints: Optional[ConstraintSet],
     budget: Budget,
     current: float,
+    on_pass: Callable[[List[int], float], None],
 ) -> Tuple[List[int], float]:
     """Best-improvement swap descent driven by the batch neighborhood API.
 
     Repeatedly scores the *entire* swap neighborhood with
     ``engine.eval_all_swaps`` (one kernel call per pass instead of
     O(n^2) delta evaluations), applies the best improving feasible
-    swap, and stops at a local minimum or budget exhaustion.  Returns
-    the (possibly unchanged) improved order and its objective.  The
-    engine's delta base is left on the returned order.
+    swap, and stops at a local minimum or budget exhaustion.  Each pass
+    that lowers the objective calls ``on_pass(order, objective)``.
+    Returns the (possibly unchanged) improved order and its objective.
+    The engine's delta base is left on the returned order.
     """
     n = len(order)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -176,4 +178,5 @@ def batch_swap_descent(
             break
         order = apply_swap(order, *divmod(best, n))
         current = engine.set_base(order)
+        on_pass(order, current)
     return order, current

@@ -3,8 +3,14 @@
 VNS fixes LNS's parameter-tuning problem (Figure 10) by adapting both
 knobs online.  Each restart runs one LNS relaxation
 (:func:`~repro.solvers.localsearch.lns.relax_step`) around the
-incumbent.  Relaxations are processed in groups of ``group_size`` (20);
-after each group:
+incumbent, on one exact-DFS state
+(:class:`~repro.solvers.exhaustive.DFSState`) set up per solve.  Every
+new incumbent is polished by a best-improvement swap descent
+(:func:`~repro.solvers.localsearch.neighborhood.batch_swap_descent`);
+that polish is this repo's deviation from Section 7.3, whose VNS has
+none.  The trace gets a point, and ``on_improvement`` fires, at every
+improving relaxation and every improving descent pass.  Relaxations
+are processed in groups of ``group_size`` (20); after each group:
 
 * if more than :data:`PROOF_THRESHOLD` (75%) of the group's relaxations
   ended with an exhaustion *proof*, the search is stuck in a local
@@ -30,7 +36,7 @@ from repro.analysis.constraints import ConstraintSet
 from repro.core.instance import ProblemInstance
 from repro.core.solution import Solution, SolveResult, SolveStatus
 from repro.solvers.base import Budget, Solver
-from repro.solvers.cp.search import CPModel
+from repro.solvers.exhaustive import DFSState
 from repro.solvers.localsearch.lns import relax_step
 from repro.solvers.localsearch.neighborhood import (
     batch_swap_descent,
@@ -92,13 +98,21 @@ class VNSSolver(Solver):
         rng = random.Random(self.seed)
         n = instance.n_indexes
         order = start_order(instance, constraints, self.initial_order)
-        model = CPModel(instance, constraints, engine=self._engine(instance))
-        current = model.engine.evaluate(order)
+        engine = self._engine(instance)
+        search = DFSState(instance, constraints, engine)
+        current = engine.evaluate(order)
         relax_size = max(2, round(self.initial_relax_fraction * n))
         failure_limit = self.initial_failure_limit
         trace: List[Tuple[float, float]] = [
             (time.perf_counter() - start, current)
         ]
+
+        def improved(new_order: List[int], objective: float) -> None:
+            elapsed_now = time.perf_counter() - start
+            trace.append((elapsed_now, objective))
+            if self.on_improvement is not None:
+                self.on_improvement(elapsed_now, list(new_order))
+
         restarts = 0
         proofs_in_group = 0
         group_count = 0
@@ -106,25 +120,24 @@ class VNSSolver(Solver):
             restarts += 1
             relax_vars = rng.sample(range(n), min(relax_size, n))
             improved_order, improved_objective, proved = relax_step(
-                model, order, relax_vars, current, failure_limit, budget
+                search, order, relax_vars, current, failure_limit, budget
             )
             if (
                 improved_order is not None
                 and improved_objective < current - 1e-12
             ):
+                improved(improved_order, improved_objective)
                 # Polish the new incumbent with a batch swap descent —
-                # one whole-neighborhood kernel scan per pass.
+                # one whole-neighborhood kernel scan per pass, a trace
+                # point per improving pass.
                 order, current = batch_swap_descent(
-                    model.engine,
+                    engine,
                     improved_order,
                     constraints,
                     budget,
                     improved_objective,
+                    improved,
                 )
-                elapsed_now = time.perf_counter() - start
-                trace.append((elapsed_now, current))
-                if self.on_improvement is not None:
-                    self.on_improvement(elapsed_now, list(order))
             group_count += 1
             if proved:
                 proofs_in_group += 1
@@ -142,7 +155,7 @@ class VNSSolver(Solver):
                 group_count = 0
                 proofs_in_group = 0
         elapsed = time.perf_counter() - start
-        self.last_engine_stats = model.engine.stats.as_dict()
+        self.last_engine_stats = engine.stats.as_dict()
         return SolveResult(
             solver=self.name,
             status=SolveStatus.FEASIBLE,

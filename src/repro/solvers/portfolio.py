@@ -19,13 +19,12 @@ Design (single-process, cooperative):
   neighborhoods of the next.
 * **One engine memo per cell.**  All members share a single
   :class:`~repro.core.engine.EvalEngine` (injected through
-  ``Solver.engine`` — the same plumbing A*, subset DP and
-  ``CPModel.engine`` use), so built-set runtime memo entries and
-  prefix-cursor state paid for by one member are cache hits for the
-  rest.
-* **Early optimality exit.**  If an exact member (CP) proves its result
-  optimal within a slice, the race stops and the portfolio reports
-  ``OPTIMAL``.
+  ``Solver.engine``, which every solver reads), so built-set runtime
+  memo entries and delta-base state paid for by one member are cache
+  hits for the rest.
+* **Early optimality exit.**  If an exact member (CP, the exact DFS)
+  proves its result optimal within a slice, the race stops and the
+  portfolio reports ``OPTIMAL``.
 """
 
 from __future__ import annotations

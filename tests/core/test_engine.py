@@ -390,7 +390,7 @@ class TestStats:
         engine.set_base(base)
         engine.eval_swap(0, 1)
         engine.evaluate(base)
-        engine.prefix_state([0])
+        engine.evaluate_prefix([0])
         stats = engine.stats
         assert stats.evaluations == (
             stats.full_evals + stats.delta_evals + stats.prefix_evals

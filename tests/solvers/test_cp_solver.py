@@ -9,9 +9,8 @@ import pytest
 from repro.analysis.constraints import ConstraintSet
 from repro.analysis.fixpoint import analyze
 from repro.core.solution import SolveStatus
-from repro.experiments.instances import reduced_tpch
 from repro.solvers.base import Budget
-from repro.solvers.cp.search import CPModel, CPSolver
+from repro.solvers.cp.search import CPSolver
 from repro.solvers.greedy import greedy_order
 
 from tests.conftest import (
@@ -36,13 +35,6 @@ class TestCPSolverOptimality:
         result = CPSolver().solve(paper_example)
         assert result.status is SolveStatus.OPTIMAL
         assert result.solution.order == (1, 0)
-
-    @pytest.mark.parametrize("strategy", ["first_fail", "sequential"])
-    def test_both_strategies_agree(self, strategy):
-        instance = small_synthetic(seed=2, n=6)
-        _, best = brute_force_best(instance)
-        result = CPSolver(strategy=strategy).solve(instance)
-        assert result.solution.objective == pytest.approx(best)
 
     def test_build_interactions(self):
         instance = small_synthetic(seed=5, n=6, build_interaction_rate=2.0)
@@ -109,20 +101,18 @@ class TestCPBudget:
 
 class TestCPSolverOptions:
     def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            CPSolver(strategy="nonsense")
+        # First-fail is gone: CP is the DFS, filling positions in order.
+        for strategy in ("nonsense", "first_fail"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                CPSolver(strategy=strategy)
 
-    @pytest.mark.parametrize("strategy", ["first_fail", "sequential"])
-    def test_greedy_seed_is_the_first_incumbent(self, strategy):
+    def test_greedy_seed_is_the_first_incumbent(self):
         instance = small_synthetic(seed=2, n=6)
-        result = CPSolver(strategy=strategy).solve(
-            instance, budget=Budget(node_limit=1)
-        )
+        result = CPSolver().solve(instance, budget=Budget(node_limit=1))
         assert result.status is SolveStatus.TIMEOUT
         assert result.solution.order == tuple(greedy_order(instance))
 
-    @pytest.mark.parametrize("strategy", ["first_fail", "sequential"])
-    def test_trace_counts_set_up_and_runs_forwards(self, strategy, monkeypatch):
+    def test_trace_counts_set_up_and_runs_forwards(self, monkeypatch):
         # With a slow greedy start, every trace point is stamped after
         # it: the seed point and the search's improvements share the
         # solve's clock.
@@ -130,78 +120,9 @@ class TestCPSolverOptions:
             time.sleep(0.2)
             return greedy_order(*args, **kwargs)
 
-        monkeypatch.setattr("repro.solvers.cp.search.greedy_order", slow_greedy)
         monkeypatch.setattr("repro.solvers.exhaustive.greedy_order", slow_greedy)
-        result = CPSolver(strategy=strategy).solve(small_synthetic(0, 7))
+        result = CPSolver().solve(small_synthetic(0, 7))
         times = [stamp for stamp, _ in result.trace]
         assert len(times) > 1
         assert times[0] >= 0.2
         assert times == sorted(times)
-
-
-class TestFirstFailPins:
-    """First-fail CP's search on fixed cells.  A propagator change that
-    moves which nodes the search visits moves these numbers."""
-
-    def test_proves_reduced_tpch_8_low_with_constraints(self):
-        instance = reduced_tpch(8, "low")
-        result = CPSolver().solve(instance, analyze(instance).constraints)
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.nodes == 33_695
-
-    @pytest.mark.parametrize(
-        "n, density, order, trace",
-        [
-            (
-                9,
-                "low",
-                (0, 3, 1, 2, 8, 4, 7, 5, 6),
-                [
-                    7462690157148.372,
-                    7427077608927.283,
-                    7353271967754.542,
-                    7352879787429.781,
-                    7339901095245.243,
-                    7339508914920.482,
-                ],
-            ),
-            (
-                14,
-                "mid",
-                (1, 0, 4, 10, 2, 3, 9, 5, 8, 12, 6, 11, 7, 13),
-                [8852048638146.041],
-            ),
-        ],
-    )
-    def test_node_budget_on_reduced_tpch(self, n, density, order, trace):
-        instance = reduced_tpch(n, density)
-        result = CPSolver().solve(
-            instance,
-            analyze(instance).constraints,
-            Budget(node_limit=20_000),
-        )
-        assert result.status is SolveStatus.TIMEOUT
-        assert result.nodes == 20_000
-        assert result.solution.order == order
-        assert result.solution.objective == pytest.approx(trace[-1], rel=1e-9)
-        objectives = [value for _, value in result.trace]
-        assert objectives == pytest.approx(trace, rel=1e-9)
-
-    @pytest.mark.parametrize("seed, nodes", [(0, 8_174), (1, 8_028), (2, 8_114)])
-    def test_proves_small_synthetic(self, seed, nodes):
-        result = CPSolver().solve(small_synthetic(seed, 7))
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.nodes == nodes
-
-
-class TestCPModel:
-    def test_store_reflects_position_bounds(self):
-        instance = small_synthetic(seed=0, n=5)
-        constraints = ConstraintSet(5)
-        constraints.add_precedence(0, 1)
-        model = CPModel(instance, constraints)
-        store = model.create_store()
-        engine = model.create_engine()
-        engine.propagate(store)
-        assert store.min_value(1) >= 1
-        assert store.max_value(0) <= 3

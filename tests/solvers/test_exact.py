@@ -1,7 +1,6 @@
 """Unit tests for the exact solvers: exhaustive B&B, subset DP, A*.
 
-``CPSolver(strategy="sequential")`` runs the exhaustive DFS, so it is
-one more input here.
+``CPSolver`` runs the exhaustive DFS, so it is one more input here.
 
 Every exact solver must find the brute-force optimum and prove
 optimality on instances small enough for the oracle.
@@ -14,6 +13,7 @@ import pytest
 from repro.analysis.constraints import ConstraintSet
 from repro.analysis.fixpoint import analyze
 from repro.core.engine import EvalEngine
+from repro.core.objective import ObjectiveEvaluator
 from repro.core.solution import SolveStatus
 from repro.errors import SolverError, ValidationError
 from repro.experiments.instances import reduced_tpch
@@ -32,10 +32,9 @@ from tests.conftest import (
 
 EXACT_SOLVERS = [
     pytest.param(ExhaustiveSolver(), id="exhaustive"),
-    pytest.param(ExhaustiveSolver(use_bound=False), id="exhaustive-nobound"),
     pytest.param(SubsetDPSolver(), id="subset-dp"),
     pytest.param(AStarSolver(), id="astar"),
-    pytest.param(CPSolver(strategy="sequential"), id="cp-sequential"),
+    pytest.param(CPSolver(), id="cp"),
 ]
 
 
@@ -74,7 +73,7 @@ class TestExactWithConstraints:
         "solver",
         [
             pytest.param(ExhaustiveSolver(), id="exhaustive"),
-            pytest.param(CPSolver(strategy="sequential"), id="cp-sequential"),
+            pytest.param(CPSolver(), id="cp"),
         ],
     )
     def test_constraints_change_feasible_set(self, solver):
@@ -117,9 +116,7 @@ def _pair_straddled(constraints):
     constraints.add_precedence(2, 1)
 
 
-@pytest.mark.parametrize(
-    "solver", EXACT_SOLVERS + [pytest.param(CPSolver(), id="cp")]
-)
+@pytest.mark.parametrize("solver", EXACT_SOLVERS)
 @pytest.mark.parametrize("add", [_pair_conflict, _pair_straddled])
 def test_unsatisfiable_pairs_are_infeasible(solver, add):
     # No order satisfies either set, and the greedy order breaks both:
@@ -133,14 +130,14 @@ def test_unsatisfiable_pairs_are_infeasible(solver, add):
 
 
 class TestOneDFS:
-    """CP's sequential strategy is the exhaustive DFS, seeded by greedy."""
+    """CP is the exhaustive DFS, seeded by greedy."""
 
     @pytest.mark.parametrize("size, density", [(9, "low"), (13, "mid")])
     def test_cp_sequential_is_the_exhaustive_dfs(self, size, density):
         instance = reduced_tpch(size, density)
         constraints = analyze(instance).constraints
         exhaustive = ExhaustiveSolver().solve(instance, constraints)
-        cp = CPSolver(strategy="sequential").solve(instance, constraints)
+        cp = CPSolver().solve(instance, constraints)
         assert exhaustive.status is SolveStatus.OPTIMAL
         assert cp.status is SolveStatus.OPTIMAL
         assert cp.solution.order == exhaustive.solution.order
@@ -165,6 +162,31 @@ class TestBudgets:
         instance = small_synthetic(seed=1, n=9)
         result = AStarSolver().solve(instance, budget=Budget(node_limit=3))
         assert result.status is not SolveStatus.OPTIMAL
+
+    @pytest.mark.parametrize("solver_cls", [AStarSolver, SubsetDPSolver])
+    def test_lattice_timeout_returns_the_greedy_order(self, solver_cls):
+        instance = small_synthetic(seed=1, n=9)
+        result = solver_cls().solve(instance, budget=Budget(node_limit=3))
+        assert result.status is SolveStatus.TIMEOUT
+        assert result.nodes == 3
+        assert result.solution.order == tuple(greedy_order(instance))
+        result.solution.validate_against(instance)
+        assert result.solution.objective == pytest.approx(
+            ObjectiveEvaluator(instance).evaluate(result.solution.order),
+            rel=1e-9,
+        )
+        assert result.trace == [(result.runtime, result.solution.objective)]
+
+    @pytest.mark.parametrize("solver_cls", [AStarSolver, SubsetDPSolver])
+    def test_lattice_timeout_without_a_feasible_greedy_order(self, solver_cls):
+        instance = small_synthetic(seed=1, n=9)
+        constraints = ConstraintSet(9)
+        _pair_conflict(constraints)
+        result = solver_cls().solve(
+            instance, constraints, budget=Budget(node_limit=3)
+        )
+        assert result.status in (SolveStatus.TIMEOUT, SolveStatus.INFEASIBLE)
+        assert result.solution is None
 
 
 class TestSubsetDPGuard:

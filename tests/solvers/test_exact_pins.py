@@ -1,6 +1,6 @@
 """Search pins for the exact solvers on fixed cells.
 
-The DFS (``exhaustive`` and ``CPSolver(strategy="sequential")``) scores
+The DFS (``exhaustive`` and ``cp``) scores
 each child before deploying it, A* keeps each heap entry's heuristic,
 and a built-set runtime miss is a delta over the previous one.  None of
 that may change which nodes a search visits, so these cells pin node
@@ -45,7 +45,7 @@ def _trace_digest(result):
 
 DFS_SOLVERS = {
     "exhaustive": ExhaustiveSolver,
-    "cp-sequential": lambda: CPSolver(strategy="sequential"),
+    "cp": CPSolver,
 }
 
 #: cell -> (instance, with analyze() constraints, (nodes, tt_prunes,

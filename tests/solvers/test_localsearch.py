@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import signal
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.solution import SolveStatus
+from repro.errors import InfeasibleError
 from repro.solvers.base import Budget
-from repro.solvers.cp.search import CPModel
+from repro.solvers.exhaustive import DFSState
 from repro.solvers.greedy import greedy_order
 from repro.solvers.localsearch import LNSSolver, relax_step
 from repro.solvers.localsearch.neighborhood import (
@@ -21,6 +26,7 @@ from repro.solvers.localsearch.neighborhood import (
     relocate_feasible,
     swap_feasible,
 )
+from repro.solvers.localsearch import vns
 from repro.solvers.localsearch.tabu import TabuSolver
 from repro.solvers.localsearch.vns import VNSSolver
 
@@ -186,6 +192,38 @@ class TestVNSSpecifics:
         solver.solve(instance, budget=Budget(time_limit=0.5))
         assert events  # greedy start improved at least once
 
+    def test_trace_has_a_point_per_improvement(self, tpch_full, monkeypatch):
+        # Every improving relaxation starts one descent; the trace holds
+        # the start, each improving relaxation and each improving pass.
+        descents = []
+        passes = []
+        descend = vns.batch_swap_descent
+
+        def counted(engine, order, constraints, budget, current, on_pass):
+            def on_counted_pass(new_order, objective):
+                passes.append(objective)
+                on_pass(new_order, objective)
+
+            descents.append(current)
+            return descend(
+                engine, order, constraints, budget, current, on_counted_pass
+            )
+
+        monkeypatch.setattr(vns, "batch_swap_descent", counted)
+        events = []
+        result = VNSSolver(
+            seed=1, on_improvement=lambda elapsed, order: events.append(order)
+        ).solve(tpch_full, None, Budget(node_limit=15_000))
+        assert passes
+        assert len(result.trace) == 1 + len(descents) + len(passes)
+        assert len(events) == len(result.trace) - 1
+        times = [stamp for stamp, _ in result.trace]
+        objectives = [value for _, value in result.trace]
+        assert times == sorted(times)
+        assert all(b < a for a, b in zip(objectives, objectives[1:]))
+        assert objectives[-1] == result.solution.objective
+        assert tuple(events[-1]) == result.solution.order
+
     def test_beats_or_matches_lns_given_same_budget(self):
         # Not a strict theorem, but with the same seed/budget on a rugged
         # instance VNS should not be dramatically worse; guard with a
@@ -200,7 +238,10 @@ class TestVNSSpecifics:
 
 class TestLNSPins:
     """LNS order, objective and node count at fixed seeds, recorded
-    before LNS became a VNS configuration (``Budget(node_limit=3000)``)."""
+    before LNS became a VNS configuration (``Budget(node_limit=3000)``).
+    The 14-mid restart counts were re-recorded when the relaxations
+    moved onto the pinned DFS, which charges only the root and the
+    free-slot children; the orders and objectives did not move."""
 
     TPCH = {
         0: (
@@ -224,9 +265,9 @@ class TestLNSPins:
     }
     MID_14_ORDER = (4, 3, 2, 0, 5, 1, 8, 10, 12, 6, 9, 11, 7, 13)
     MID_14 = {
-        0: (MID_14_ORDER, 8543605863723.954, 849),
-        1: (MID_14_ORDER, 8543605863723.954, 897),
-        2: (MID_14_ORDER, 8543605863723.954, 905),
+        0: (MID_14_ORDER, 8543605863723.954, 473),
+        1: (MID_14_ORDER, 8543605863723.954, 519),
+        2: (MID_14_ORDER, 8543605863723.954, 518),
     }
 
     @staticmethod
@@ -382,10 +423,88 @@ class TestInfeasibleWarmStart:
 
     def test_root_conflict_charges_the_budget(self):
         instance = small_synthetic(seed=0, n=6)
-        model = CPModel(instance, self._pairs())
+        search = DFSState(instance, self._pairs(), EvalEngine(instance))
         budget = Budget(node_limit=1)
         found, _, proved = relax_step(
-            model, [1, 0, 3, 2, 5, 4], [4, 5], float("inf"), 100, budget
+            search, [1, 0, 3, 2, 5, 4], [4, 5], float("inf"), 100, budget
         )
         assert found is None and proved
         assert budget.exhausted
+
+
+def _random_constraints(n, rng):
+    """A few random precedences and consecutive pairs; the pairs may
+    admit no order at all."""
+    constraints = ConstraintSet(n)
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a == b:
+            continue
+        try:
+            if rng.random() < 0.6:
+                constraints.add_precedence(a, b)
+            else:
+                constraints.add_consecutive(a, b)
+        except InfeasibleError:
+            continue
+    return constraints
+
+
+class TestRelaxStep:
+    """One relaxation with no failure limit is exact over its
+    neighborhood: the orders that keep every pinned index in its slot."""
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=7),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+    )
+    def test_matches_brute_force(self, seed, n, rng, against_order):
+        instance = small_synthetic(seed, n, build_interaction_rate=1.0)
+        constraints = _random_constraints(n, rng)
+        order = list(range(n))
+        rng.shuffle(order)
+        free = rng.sample(range(n), rng.randint(0, n))
+        engine = EvalEngine(instance)
+        incumbent = engine.evaluate(order) if against_order else math.inf
+        pinned = [
+            (slot, index_id)
+            for slot, index_id in enumerate(order)
+            if index_id not in free
+        ]
+        best = None
+        for candidate in itertools.permutations(range(n)):
+            if any(candidate[slot] != index_id for slot, index_id in pinned):
+                continue
+            if not constraints.check_order(candidate):
+                continue
+            value = engine.evaluate(candidate)
+            if value < incumbent and (best is None or value < best):
+                best = value
+
+        search = DFSState(instance, constraints, EvalEngine(instance))
+        found, objective, proved = relax_step(
+            search, order, free, incumbent, math.inf, None
+        )
+        assert proved
+        tolerance = 1e-9 * max(1.0, abs(best or 0.0))
+        if found is None:
+            # None, or only an order within rounding of the incumbent.
+            assert best is None or best >= incumbent - tolerance
+            return
+        assert best is not None
+        assert objective < incumbent
+        assert objective == pytest.approx(best, rel=1e-9, abs=1e-9)
+        assert constraints.check_order(found)
+        assert all(found[slot] == index_id for slot, index_id in pinned)
+        # Leaves are exact: the floats of a full replay.
+        assert objective == EvalEngine(instance).evaluate(found)
+        assert objective == pytest.approx(
+            ObjectiveEvaluator(instance).evaluate(found), rel=1e-9, abs=1e-9
+        )

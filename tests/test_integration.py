@@ -22,7 +22,6 @@ from repro.dbms.catalog import Catalog
 from repro.dbms.extract import InstanceExtractor
 from repro.dbms.query import JoinEdge, Predicate, PredicateOp, Query, Workload
 from repro.dbms.schema import Column, IndexSpec, Table
-from repro.experiments.instances import reduced_tpch
 from repro.solvers.astar import AStarSolver
 from repro.solvers.base import Budget
 from repro.solvers.cp.search import CPSolver
@@ -198,8 +197,9 @@ class TestCrossSolverAgreement:
 
     def test_reduced_tpch_cross_check(self, reduced_tpch_13):
         # 13-index low-density TPC-H with the pre-analysis constraints:
-        # exhaustive+ and A*+ prove it in well under a second.  They sum
-        # the same terms in different orders, hence the tolerance.
+        # exhaustive+, CP+ and A*+ prove it in well under a second.  CP
+        # is the exhaustive DFS; A* sums the same terms in a different
+        # order, hence the tolerance.
         constraints = analyze(reduced_tpch_13).constraints
         exhaustive = ExhaustiveSolver().solve(
             reduced_tpch_13, constraints, Budget(time_limit=30.0)
@@ -207,25 +207,13 @@ class TestCrossSolverAgreement:
         astar = AStarSolver().solve(
             reduced_tpch_13, constraints, Budget(time_limit=30.0)
         )
+        cp = CPSolver().solve(
+            reduced_tpch_13, constraints, Budget(time_limit=30.0)
+        )
         assert exhaustive.status is SolveStatus.OPTIMAL
         assert astar.status is SolveStatus.OPTIMAL
+        assert cp.status is SolveStatus.OPTIMAL
+        assert constraints.check_order(cp.solution.order)
         optimum = exhaustive.solution.objective
         assert astar.solution.objective == pytest.approx(optimum, rel=1e-9)
-        # First-fail CP+ does not prove this cell in minutes; under a
-        # node budget it still returns a feasible order, never below
-        # the optimum.
-        cp = CPSolver().solve(
-            reduced_tpch_13, constraints, Budget(node_limit=20_000)
-        )
-        assert constraints.check_order(cp.solution.order)
-        assert cp.solution.objective >= optimum * (1 - 1e-9)
-        # On 8 indexes first-fail CP+ proves the optimum itself.
-        small = reduced_tpch(8, "low")
-        small_constraints = analyze(small).constraints
-        exhaustive = ExhaustiveSolver().solve(small, small_constraints)
-        cp = CPSolver().solve(small, small_constraints, Budget(time_limit=30.0))
-        assert exhaustive.status is SolveStatus.OPTIMAL
-        assert cp.status is SolveStatus.OPTIMAL
-        assert cp.solution.objective == pytest.approx(
-            exhaustive.solution.objective, rel=1e-9
-        )
+        assert cp.solution.objective == pytest.approx(optimum, rel=1e-9)
