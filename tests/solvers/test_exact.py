@@ -116,7 +116,12 @@ def _pair_straddled(constraints):
     constraints.add_precedence(2, 1)
 
 
-@pytest.mark.parametrize("solver", EXACT_SOLVERS)
+@pytest.mark.parametrize(
+    "solver",
+    EXACT_SOLVERS
+    # The explicit strategy perfbench's exact-tpch cell passes.
+    + [pytest.param(CPSolver(strategy="sequential"), id="cp-sequential")],
+)
 @pytest.mark.parametrize("add", [_pair_conflict, _pair_straddled])
 def test_unsatisfiable_pairs_are_infeasible(solver, add):
     # No order satisfies either set, and the greedy order breaks both:
