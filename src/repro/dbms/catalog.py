@@ -4,17 +4,14 @@ The catalog distinguishes *materialized* indexes (part of the physical
 design) from *hypothetical* ones (registered for what-if analysis, per
 the AutoAdmin what-if interface the paper builds on).  The optimizer is
 always costed against an explicit *configuration* — a set of index names
-it may use — so what-if evaluation never mutates the catalog.
-
-Only the indexes of a configuration that sit on a plan's tables can
-change that plan (:meth:`Catalog.relevant`); the optimizer's memos key
-on that part alone and drop their entries whenever :attr:`Catalog.version`
+it may use — so what-if evaluation never mutates the catalog.  The
+optimizer's memos drop their entries whenever :attr:`Catalog.version`
 moves.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Set
 
 from repro.dbms.schema import IndexSpec, Table
 from repro.errors import CatalogError
@@ -35,6 +32,10 @@ class Catalog:
         self._indexes: Dict[str, IndexSpec] = {}
         self._by_table: Dict[str, Dict[str, IndexSpec]] = {}
         self._hypothetical: Set[str] = set()
+        # The non-hypothetical names in registration order, kept as the
+        # catalog changes so a what-if configuration need not rescan
+        # every registered candidate.
+        self._materialized: Dict[str, None] = {}
         self.version = 0
 
     # ------------------------------------------------------------------
@@ -94,6 +95,8 @@ class Catalog:
         self._by_table[spec.table][spec.name] = spec
         if hypothetical:
             self._hypothetical.add(spec.name)
+        else:
+            self._materialized[spec.name] = None
         self.version += 1
 
     def drop_index(self, name: str) -> None:
@@ -103,6 +106,7 @@ class Catalog:
         spec = self._indexes.pop(name)
         del self._by_table[spec.table][name]
         self._hypothetical.discard(name)
+        self._materialized.pop(name, None)
         self.version += 1
 
     def index(self, name: str) -> IndexSpec:
@@ -124,21 +128,6 @@ class Catalog:
         """All indexes (real and hypothetical) on a table."""
         return list(self._by_table.get(table_name, {}).values())
 
-    def relevant(
-        self, configuration: Iterable[str], tables: Sequence[str]
-    ) -> FrozenSet[str]:
-        """The names in ``configuration`` of indexes on one of ``tables``.
-
-        A plan over ``tables`` can use no other index, so this part of a
-        configuration alone decides the plan.  Unknown names are dropped.
-        """
-        indexes = self._indexes
-        return frozenset(
-            name
-            for name in configuration
-            if name in indexes and indexes[name].table in tables
-        )
-
     @property
     def indexes(self) -> List[IndexSpec]:
         """All registered indexes."""
@@ -147,9 +136,7 @@ class Catalog:
     @property
     def materialized_indexes(self) -> List[str]:
         """Names of non-hypothetical indexes (the current design)."""
-        return [
-            name for name in self._indexes if name not in self._hypothetical
-        ]
+        return list(self._materialized)
 
     def configuration(
         self, extra: Iterable[str] = (), include_materialized: bool = True
@@ -160,11 +147,10 @@ class Catalog:
             extra: Hypothetical indexes to enable.
             include_materialized: Include the real physical design.
         """
-        config: Set[str] = set()
+        config = set(extra)
+        unknown = config.difference(self._indexes)
+        if unknown:
+            raise CatalogError(f"unknown index {min(unknown)!r}")
         if include_materialized:
-            config.update(self.materialized_indexes)
-        for name in extra:
-            if name not in self._indexes:
-                raise CatalogError(f"unknown index {name!r}")
-            config.add(name)
+            config.update(self._materialized)
         return config

@@ -25,13 +25,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.dbms.catalog import Catalog
-from repro.dbms.query import JoinEdge, Predicate, PredicateOp, Query
+from repro.dbms.query import Predicate, PredicateOp, Query
 from repro.dbms.schema import IndexSpec, Table
-from repro.dbms.stats import (
-    combined_selectivity,
-    join_cardinality,
-    predicate_selectivity,
-)
+from repro.dbms.stats import combined_selectivity, predicate_selectivity
 from repro.errors import QueryError
 
 __all__ = ["CostModel", "AccessPath", "QueryPlan", "Optimizer"]
@@ -76,13 +72,46 @@ class QueryPlan:
     description: str
 
 
+def _usable(
+    spec: IndexSpec,
+    predicates: Sequence[Predicate],
+    needed: Sequence[str],
+    join_column: Optional[str],
+) -> bool:
+    """The usability rule: can ``spec`` give a table an access path?
+
+    Only when its first key column is filtered by one of ``predicates``
+    or is the probed ``join_column`` (an index seek), or when it stores
+    every ``needed`` column (an index-only scan).
+    """
+    first = spec.key_columns[0]
+    return (
+        first == join_column
+        or any(predicate.column == first for predicate in predicates)
+        or spec.covers(needed)
+    )
+
+
+#: The constants of joining a table over one of its join edges: the
+#: table on the edge's other side, the hash join's inner cost (scan plus
+#: per-row build CPU), the inner's rows, the join-cardinality
+#: denominator, the scan's index, and the index-nested-loop probe's cost
+#: and index (both ``None`` when no index serves the probe).
+_Step = Tuple[
+    str, float, float, int, Optional[str], Optional[float], Optional[str]
+]
+
+
 class Optimizer:
     """Configuration-relative cost-based optimizer.
 
-    ``best_access_path`` is memoized on the part of the configuration
-    that indexes the probed table, because a join-order search asks for
-    the same table's path under many configurations that differ only
-    elsewhere.  The memo empties itself whenever the catalog changes.
+    An index outside :meth:`usable` gets no access path, so
+    ``best_access_path`` memoizes each path on the part of the
+    configuration usable for that table and join column: a join-order
+    search asks for the same table's path under many configurations
+    that differ only in indexes the path cannot use.  ``optimize`` looks
+    each path up once and then searches join orders on plain numbers.
+    The memos empty themselves whenever the catalog changes.
     """
 
     def __init__(
@@ -93,7 +122,76 @@ class Optimizer:
         self._paths: Dict[
             Tuple[Query, str, Optional[str], FrozenSet[str]], AccessPath
         ] = {}
-        self._paths_version = catalog.version
+        self._usable: Dict[
+            Tuple[Query, Optional[str], Optional[str]], FrozenSet[str]
+        ] = {}
+        self._joins: Dict[Query, Dict[str, List[Tuple[str, str, int]]]] = {}
+        self._version = catalog.version
+
+    def _sync(self) -> None:
+        """Empty the memos if the catalog changed since they were filled."""
+        if self._version != self.catalog.version:
+            self._paths.clear()
+            self._usable.clear()
+            self._joins.clear()
+            self._version = self.catalog.version
+
+    def usable(
+        self,
+        query: Query,
+        table_name: Optional[str] = None,
+        join_column: Optional[str] = None,
+    ) -> FrozenSet[str]:
+        """Names of the catalog's indexes that ``query`` can use.
+
+        With ``table_name``, the indexes on that table that pass
+        :func:`_usable` when it is scanned, or probed on ``join_column``.
+        Without, the indexes usable on any of the query's tables under
+        any of its join columns: only these can change its plan.
+        """
+        self._sync()
+        key = (query, table_name, join_column)
+        usable = self._usable.get(key)
+        if usable is None:
+            if table_name is None:
+                usable = frozenset().union(
+                    *(
+                        self.usable(query, table, column)
+                        for table, edges in self._join_edges(query).items()
+                        for column in [None] + [edge[1] for edge in edges]
+                    )
+                )
+            else:
+                predicates = query.predicates_on(table_name)
+                needed = query.columns_needed(table_name)
+                usable = frozenset(
+                    spec.name
+                    for spec in self.catalog.indexes_on(table_name)
+                    if _usable(spec, predicates, needed, join_column)
+                )
+            self._usable[key] = usable
+        return usable
+
+    def _join_edges(
+        self, query: Query
+    ) -> Dict[str, List[Tuple[str, str, int]]]:
+        """Each table's join edges in ``query.joins`` order, as (table
+        on the other side, join column, join-cardinality denominator)."""
+        edges = self._joins.get(query)
+        if edges is None:
+            edges = {table: [] for table in query.tables}
+            for edge in query.joins:
+                for table, other in (
+                    (edge.left, edge.right),
+                    (edge.right, edge.left),
+                ):
+                    column = edge.column_of(table)
+                    column_stats = self.catalog.table(table).column(column)
+                    edges[table].append(
+                        (other, column, max(column_stats.distinct, 1))
+                    )
+            self._joins[query] = edges
+        return edges
 
     # ------------------------------------------------------------------
     # Access-path selection
@@ -132,14 +230,13 @@ class Optimizer:
         join_column: Optional[str] = None,
     ) -> AccessPath:
         """Cheapest access path for one table."""
-        if self._paths_version != self.catalog.version:
-            self._paths.clear()
-            self._paths_version = self.catalog.version
-        relevant = self.catalog.relevant(configuration, (table_name,))
-        key = (query, table_name, join_column, relevant)
+        usable = self.usable(query, table_name, join_column).intersection(
+            configuration
+        )
+        key = (query, table_name, join_column, usable)
         best = self._paths.get(key)
         if best is None:
-            paths = self.access_paths(query, table_name, relevant, join_column)
+            paths = self.access_paths(query, table_name, usable, join_column)
             best = min(paths, key=lambda p: (p.cost, p.index_name or ""))
             self._paths[key] = best
         return best
@@ -205,10 +302,11 @@ class Optimizer:
                 matched += 1
             break  # range (or unmatched) key ends the sargable prefix
         if matched == 0:
-            covering = spec.covers(needed)
-            if not covering:
+            # No key column matched, so the index serves only as a
+            # covering scan (cheaper than the heap when narrower), and
+            # only where the usability rule admits it.
+            if not _usable(spec, predicates, needed, join_column):
                 return None
-            # Covering index scan: cheaper than the heap when narrower.
             selectivity = combined_selectivity(predicates, table)
             cost = (
                 spec.leaf_pages(table) * self.cost.seq_page
@@ -270,118 +368,99 @@ class Optimizer:
         cheapest complete plan wins, which keeps the optimizer
         deterministic and cheap while still letting different
         configurations flip the join order (the source of the paper's
-        multi-index query interactions).
+        multi-index query interactions).  A step joins the remaining
+        table whose hash or index-nested-loop join is cheapest, each
+        table joining over its first edge (in ``query.joins`` order) to
+        the tables joined so far; only when no remaining table has such
+        an edge does the first of them join as a cartesian product.
+        Every access path and every edge's step constants are looked up
+        once per call, before the search.
         """
-        best: Optional[QueryPlan] = None
+        cpu_row = self.cost.cpu_row
+        scans = {
+            table: self.best_access_path(query, table, configuration)
+            for table in query.tables
+        }
+        steps: Dict[str, List[_Step]] = {}
+        for table, edges in self._join_edges(query).items():
+            scan = scans[table]
+            hash_inner = scan.cost + scan.out_rows * cpu_row
+            steps[table] = []
+            probes: Dict[str, AccessPath] = {}
+            for other, column, denominator in edges:
+                if column not in probes:
+                    probes[column] = self.best_access_path(
+                        query, table, configuration, join_column=column
+                    )
+                probe = probes[column]
+                steps[table].append((
+                    other,
+                    hash_inner,
+                    scan.out_rows,
+                    denominator,
+                    scan.index_name,
+                    None if probe.index_name is None else probe.cost,
+                    probe.index_name,
+                ))
+        best: Optional[Tuple[float, Set[str], List[str]]] = None
         for start in query.tables:
-            plan = self._greedy_plan(query, configuration, start)
-            if best is None or plan.cost < best.cost - 1e-12:
-                best = plan
+            total_cost = scans[start].cost
+            rows = scans[start].out_rows
+            used = {scans[start].index_name} - {None}
+            joined = [start]
+            joined_set = {start}
+            remaining = [table for table in query.tables if table != start]
+            while remaining:
+                choice = None  # (step cost, rows, table, index)
+                for candidate in remaining:
+                    for step in steps[candidate]:
+                        if step[0] in joined_set:
+                            break
+                    else:
+                        continue  # defer cartesian products while joins exist
+                    (_, hash_inner, inner_rows, denominator, index,
+                     probe_cost, probe_index) = step
+                    # Hash join: scan the inner once, probe per outer row.
+                    step_cost = hash_inner + rows * 2.0 * cpu_row
+                    # Index nested loop: one probe per outer row.
+                    if probe_cost is not None:
+                        loop_cost = rows * probe_cost
+                        if loop_cost < step_cost:
+                            step_cost = loop_cost
+                            index = probe_index
+                    out_rows = max(1.0, rows * inner_rows / denominator)
+                    key = (step_cost, out_rows, candidate, index)
+                    if choice is None or key < choice:
+                        choice = key
+                if choice is None:
+                    # Only cartesian products remain: take the first scan.
+                    path = scans[remaining[0]]
+                    choice = (
+                        path.cost + rows * path.out_rows * cpu_row,
+                        rows * path.out_rows,
+                        remaining[0],
+                        path.index_name,
+                    )
+                step_cost, rows, candidate, index = choice
+                total_cost += step_cost
+                joined.append(candidate)
+                joined_set.add(candidate)
+                remaining.remove(candidate)
+                if index is not None:
+                    used.add(index)
+            total_cost += self._sort_cost(query, rows, scans[start].sorted_by)
+            if best is None or total_cost < best[0] - 1e-12:
+                best = (total_cost, used, joined)
         if best is None:
             raise QueryError(f"query {query.name!r}: no plan found")
-        return best
-
-    def _greedy_plan(
-        self, query: Query, configuration: Set[str], start: str
-    ) -> QueryPlan:
-        used: Set[str] = set()
-        start_path = self.best_access_path(query, start, configuration)
-        if start_path.index_name is not None:
-            used.add(start_path.index_name)
-        total_cost = start_path.cost
-        current_rows = start_path.out_rows
-        joined: List[str] = [start]
-        joined_set = {start}
-        remaining = [t for t in query.tables if t != start]
-        driving_sorted_by = start_path.sorted_by
-        while remaining:
-            best_choice: Optional[Tuple[float, float, str, Optional[str]]] = None
-            for candidate in remaining:
-                edge = self._edge_between(query, joined_set, candidate)
-                if edge is None and len(remaining) > 1:
-                    continue  # defer cartesian products while joins exist
-                step = self._join_step(
-                    query, configuration, candidate, edge, current_rows
-                )
-                if step is None:
-                    continue
-                step_cost, out_rows, used_index = step
-                key = (step_cost, out_rows, candidate, used_index)
-                if best_choice is None or key < best_choice:
-                    best_choice = key
-            if best_choice is None:
-                # Only cartesian products remain: take the cheapest scan.
-                candidate = remaining[0]
-                path = self.best_access_path(query, candidate, configuration)
-                best_choice = (
-                    path.cost + current_rows * path.out_rows * self.cost.cpu_row,
-                    current_rows * path.out_rows,
-                    candidate,
-                    path.index_name,
-                )
-            step_cost, out_rows, candidate, used_index = best_choice
-            total_cost += step_cost
-            current_rows = out_rows
-            joined.append(candidate)
-            joined_set.add(candidate)
-            remaining.remove(candidate)
-            if used_index is not None:
-                used.add(used_index)
-        total_cost += self._sort_cost(query, current_rows, driving_sorted_by)
+        cost, used, joined = best
         return QueryPlan(
             query=query.name,
-            cost=total_cost,
+            cost=cost,
             used_indexes=frozenset(used),
             join_order=tuple(joined),
             description=" -> ".join(joined),
         )
-
-    def _edge_between(
-        self, query: Query, joined: Set[str], candidate: str
-    ) -> Optional[JoinEdge]:
-        for edge in query.joins:
-            if edge.involves(candidate) and edge.other(candidate) in joined:
-                return edge
-        return None
-
-    def _join_step(
-        self,
-        query: Query,
-        configuration: Set[str],
-        candidate: str,
-        edge: Optional[JoinEdge],
-        outer_rows: float,
-    ) -> Optional[Tuple[float, float, Optional[str]]]:
-        """Cost of joining ``candidate`` next; returns (cost, rows, index)."""
-        if edge is None:
-            return None
-        table = self.catalog.table(candidate)
-        join_column = edge.column_of(candidate)
-        # Hash join: scan the inner once, probe per outer row.
-        inner_scan = self.best_access_path(query, candidate, configuration)
-        hash_cost = (
-            inner_scan.cost
-            + inner_scan.out_rows * self.cost.cpu_row
-            + outer_rows * 2.0 * self.cost.cpu_row
-        )
-        out_rows = join_cardinality(
-            outer_rows,
-            inner_scan.out_rows,
-            table.column(join_column).distinct,
-            table.column(join_column).distinct,
-        )
-        best_cost = hash_cost
-        best_index = inner_scan.index_name
-        # Index nested loop: one probe per outer row.
-        probe = self.best_access_path(
-            query, candidate, configuration, join_column=join_column
-        )
-        if probe.index_name is not None:
-            inl_cost = outer_rows * probe.cost
-            if inl_cost < best_cost:
-                best_cost = inl_cost
-                best_index = probe.index_name
-        return best_cost, out_rows, best_index
 
     def _sort_cost(
         self,

@@ -34,17 +34,17 @@ class AtomicConfiguration:
 class WhatIfOptimizer:
     """Optimizer facade for hypothetical-index analysis.
 
-    Plans are memoized per query on the part of the configuration that
-    indexes the query's tables (:meth:`Catalog.relevant`): the advisor
-    and the removal loop re-plan a query under many configurations that
-    differ only on other tables.  The memo empties itself whenever the
-    catalog changes.
+    Plans are memoized per query on the part of the configuration the
+    query can use (:meth:`Optimizer.usable`): the advisor and the
+    removal loop re-plan a query under many configurations that differ
+    only in indexes it cannot use.  The memo keys on the query object,
+    not its name, and empties itself whenever the catalog changes.
     """
 
     def __init__(self, catalog: Catalog, optimizer: Optional[Optimizer] = None) -> None:
         self.catalog = catalog
         self.optimizer = optimizer or Optimizer(catalog)
-        self._cache: Dict[Tuple[str, FrozenSet[str]], QueryPlan] = {}
+        self._cache: Dict[Tuple[Query, FrozenSet[str]], QueryPlan] = {}
         self._cache_version = catalog.version
 
     # ------------------------------------------------------------------
@@ -54,11 +54,11 @@ class WhatIfOptimizer:
             self._cache.clear()
             self._cache_version = self.catalog.version
         configuration = self.catalog.configuration(extra=hypothetical)
-        relevant = self.catalog.relevant(configuration, query.tables)
-        key = (query.name, relevant)
+        usable = self.optimizer.usable(query).intersection(configuration)
+        key = (query, usable)
         cached = self._cache.get(key)
         if cached is None:
-            cached = self.optimizer.optimize(query, relevant)
+            cached = self.optimizer.optimize(query, usable)
             self._cache[key] = cached
         return cached
 

@@ -139,6 +139,16 @@ class GreedySolver(Solver):
     ) -> SolveResult:
         start = time.perf_counter()
         order = greedy_order(instance, constraints)
+        if constraints is not None and not constraints.check_order(order):
+            # Greedy broke a constraint (the set may be unsatisfiable):
+            # return no order rather than label a broken one feasible.
+            return SolveResult(
+                solver=self.name,
+                status=SolveStatus.DID_NOT_FINISH,
+                solution=None,
+                runtime=time.perf_counter() - start,
+                nodes=instance.n_indexes,
+            )
         solution = Solution.from_order(instance, order)
         elapsed = time.perf_counter() - start
         return SolveResult(

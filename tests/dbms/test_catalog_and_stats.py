@@ -108,17 +108,6 @@ class TestCatalogIndexes:
             replacement,
         ]
 
-    def test_relevant_keeps_known_indexes_on_given_tables(self, catalog):
-        catalog.add_table(Table("other", [Column("x")], row_count=10))
-        catalog.add_index(IndexSpec("ix_city", "people", ("city",)))
-        catalog.add_index(IndexSpec("ix_x", "other", ("x",)))
-        configuration = {"ix_city", "ix_x", "ghost"}
-        assert catalog.relevant(configuration, ("people",)) == {"ix_city"}
-        assert catalog.relevant(configuration, ("people", "other")) == {
-            "ix_city",
-            "ix_x",
-        }
-
     def test_configuration(self, catalog):
         catalog.add_index(IndexSpec("real", "people", ("city",)))
         catalog.add_index(
@@ -129,6 +118,22 @@ class TestCatalogIndexes:
         assert catalog.configuration(
             extra=["hypo"], include_materialized=False
         ) == {"hypo"}
+
+    def test_materialized_names_follow_drops_and_re_adds(self, catalog):
+        catalog.add_index(IndexSpec("a", "people", ("city",)))
+        catalog.add_index(
+            IndexSpec("b", "people", ("salary",)), hypothetical=True
+        )
+        catalog.add_index(IndexSpec("c", "people", ("id",)))
+        assert catalog.materialized_indexes == ["a", "c"]
+        catalog.drop_index("a")
+        catalog.drop_index("b")
+        catalog.add_index(IndexSpec("b", "people", ("salary",)))
+        catalog.add_index(
+            IndexSpec("a", "people", ("city",)), hypothetical=True
+        )
+        assert catalog.materialized_indexes == ["c", "b"]
+        assert catalog.configuration() == {"b", "c"}
 
 
 class TestSelectivity:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.dbms.advisor import generate_candidates
 from repro.dbms.catalog import Catalog
@@ -12,6 +14,7 @@ from repro.dbms.optimizer import CostModel, Optimizer
 from repro.dbms.query import JoinEdge, Predicate, PredicateOp, Query
 from repro.dbms.schema import Column, IndexSpec, Table
 from repro.dbms.whatif import WhatIfOptimizer
+from repro.workloads.tpcds import tpcds_catalog, tpcds_workload
 from repro.workloads.tpch import tpch_catalog, tpch_workload
 
 
@@ -210,32 +213,60 @@ class TestPlans:
         assert with_ix.cost < without.cost
 
 
-class TestMemoizedPlanning:
-    """The access-path and plan memos key on the relevant configuration."""
+def _with_candidates(catalog, workload):
+    """The advisor's candidates, registered as hypothetical indexes."""
+    names = []
+    for spec in generate_candidates(catalog, workload):
+        catalog.add_index(spec, hypothetical=True)
+        names.append(spec.name)
+    return catalog, workload, names
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_memoized_plans_match_fresh_optimizers(self, seed):
-        catalog = tpch_catalog()
-        workload = tpch_workload()
-        names = []
-        for spec in generate_candidates(catalog, workload):
-            catalog.add_index(spec, hypothetical=True)
-            names.append(spec.name)
+
+#: TPC-H and the pipeline benchmark's TPC-DS subset (10 queries, seed
+#: 2012), each with its candidates registered.
+WORKLOADS = {
+    "tpch": lambda: _with_candidates(tpch_catalog(), tpch_workload()),
+    "tpcds-subset": lambda: _with_candidates(
+        tpcds_catalog(), tpcds_workload(n_queries=10, seed=2012)
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WORKLOADS))
+def candidate_workload(request):
+    """One candidate catalog per workload, for tests that never change it."""
+    return WORKLOADS[request.param]()
+
+
+def _same_plan(plan, other):
+    assert other.cost == plan.cost
+    assert other.used_indexes == plan.used_indexes
+    assert other.join_order == plan.join_order
+
+
+class TestMemoizedPlanning:
+    """The access-path and plan memos key on the usable configuration."""
+
+    @pytest.mark.parametrize(
+        "workload, seed",
+        [pytest.param("tpch", seed, id=str(seed)) for seed in range(3)]
+        + [
+            pytest.param("tpcds-subset", seed, id=f"tpcds-subset-{seed}")
+            for seed in range(3)
+        ],
+    )
+    def test_memoized_plans_match_fresh_optimizers(self, workload, seed):
+        catalog, queries, names = WORKLOADS[workload]()
         rng = random.Random(seed)
         optimizer = Optimizer(catalog)
         whatif = WhatIfOptimizer(catalog)
         for _ in range(6):
             hypothetical = rng.sample(names, rng.randint(1, len(names) // 3))
             configuration = catalog.configuration(extra=hypothetical)
-            for query in workload:
+            for query in queries:
                 fresh = Optimizer(catalog).optimize(query, configuration)
-                for memoized in (
-                    optimizer.optimize(query, configuration),
-                    whatif.plan(query, hypothetical),
-                ):
-                    assert memoized.cost == fresh.cost
-                    assert memoized.used_indexes == fresh.used_indexes
-                    assert memoized.join_order == fresh.join_order
+                _same_plan(fresh, optimizer.optimize(query, configuration))
+                _same_plan(fresh, whatif.plan(query, hypothetical))
 
     def test_replaced_index_is_replanned(self, catalog):
         catalog.add_index(
@@ -255,6 +286,93 @@ class TestMemoizedPlanning:
         assert fresh.used_indexes == frozenset()
         assert optimizer.optimize(query, {"hx"}) == fresh
         assert whatif.plan(query, ["hx"]) == fresh
+
+    def test_replaced_unusable_index_is_replanned(self, catalog):
+        catalog.add_index(
+            IndexSpec("hx", "people", ("report_to",)), hypothetical=True
+        )
+        optimizer = Optimizer(catalog)
+        whatif = WhatIfOptimizer(catalog)
+        query = city_query()
+        assert optimizer.usable(query) == frozenset()
+        assert optimizer.optimize(query, {"hx"}).used_indexes == frozenset()
+        assert whatif.plan(query, ["hx"]).used_indexes == frozenset()
+        # Same name, now an index the query can use.
+        catalog.drop_index("hx")
+        catalog.add_index(
+            IndexSpec("hx", "people", ("city",)), hypothetical=True
+        )
+        fresh = Optimizer(catalog).optimize(query, {"hx"})
+        assert fresh.used_indexes == {"hx"}
+        assert optimizer.optimize(query, {"hx"}) == fresh
+        assert whatif.plan(query, ["hx"]) == fresh
+
+    def test_queries_sharing_a_name_get_their_own_plans(self):
+        catalog = tpch_catalog()
+        catalog.add_index(
+            IndexSpec("hx", "lineitem", ("l_shipdate",)), hypothetical=True
+        )
+        workload = tpch_workload()
+        first = workload.query("tpch_q1")
+        q6 = workload.query("tpch_q6")
+        second = Query(
+            first.name, q6.tables, q6.predicates, q6.joins, q6.group_by,
+            q6.select, q6.weight,
+        )
+        whatif = WhatIfOptimizer(catalog)
+        # Both can use hx, so only the query itself tells their plans apart.
+        assert "hx" in whatif.optimizer.usable(first)
+        assert "hx" in whatif.optimizer.usable(second)
+        configuration = catalog.configuration(extra=["hx"])
+        for query in (first, second):
+            fresh = Optimizer(catalog).optimize(query, configuration)
+            assert whatif.plan(query, ["hx"]) == fresh
+        assert whatif.plan(first, ["hx"]).used_indexes == frozenset()
+        assert whatif.plan(second, ["hx"]).used_indexes == {"hx"}
+
+
+class TestUsabilityRule:
+    """Indexes the usability rule rejects can never change a plan."""
+
+    def test_rejected_indexes_get_no_access_path(self, candidate_workload):
+        catalog, queries, _ = candidate_workload
+        optimizer = Optimizer(catalog)
+        rejections = 0
+        for query in queries:
+            for table_name in query.tables:
+                table = catalog.table(table_name)
+                predicates = query.predicates_on(table_name)
+                needed = query.columns_needed(table_name)
+                columns = [None] + [
+                    edge.column_of(table_name)
+                    for edge in query.joins_of(table_name)
+                ]
+                for column in columns:
+                    usable = optimizer.usable(query, table_name, column)
+                    for spec in catalog.indexes_on(table_name):
+                        if spec.name in usable:
+                            continue
+                        rejections += 1
+                        assert optimizer._index_path(
+                            table, spec, predicates, needed, column
+                        ) is None, (query.name, spec.name, column)
+        assert rejections > 0
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_rejected_indexes_change_no_plan(self, candidate_workload, data):
+        catalog, queries, names = candidate_workload
+        configuration = data.draw(st.sets(st.sampled_from(names)))
+        optimizer = Optimizer(catalog)
+        for query in queries:
+            rejected = set(names) - optimizer.usable(query)
+            plan = optimizer.optimize(query, configuration)
+            _same_plan(plan, optimizer.optimize(query, configuration | rejected))
+            _same_plan(plan, Optimizer(catalog).optimize(query, configuration))
 
 
 class TestCostModel:

@@ -21,7 +21,7 @@ from repro.solvers.astar import AStarSolver, SubsetDPSolver
 from repro.solvers.base import Budget
 from repro.solvers.cp import CPSolver
 from repro.solvers.exhaustive import ExhaustiveSolver
-from repro.solvers.greedy import greedy_order
+from repro.solvers.greedy import GreedySolver, greedy_order
 
 from tests.conftest import (
     brute_force_best,
@@ -131,6 +131,19 @@ def test_unsatisfiable_pairs_are_infeasible(solver, add):
     add(constraints)
     result = solver.solve(instance, constraints=constraints)
     assert result.status is SolveStatus.INFEASIBLE
+    assert result.solution is None
+
+
+@pytest.mark.parametrize("add", [_pair_conflict, _pair_straddled])
+def test_greedy_returns_no_order_it_breaks(add):
+    # Greedy cannot prove a set unsatisfiable, but it must not label the
+    # order it builds FEASIBLE when that order breaks the set.
+    instance = small_synthetic(seed=0, n=5)
+    constraints = ConstraintSet(5)
+    add(constraints)
+    assert not constraints.check_order(greedy_order(instance, constraints))
+    result = GreedySolver().solve(instance, constraints=constraints)
+    assert result.status is SolveStatus.DID_NOT_FINISH
     assert result.solution is None
 
 
