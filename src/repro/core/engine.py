@@ -47,6 +47,7 @@ experiment harness can report replayed steps and cache hits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -59,6 +60,7 @@ from repro.errors import ValidationError
 
 __all__ = [
     "DeployState",
+    "DeployTables",
     "EngineStats",
     "EvalEngine",
     "PrefixCursor",
@@ -95,7 +97,11 @@ class EngineStats:
         memo_hits: Built-set runtime memo hits.
         memo_misses: Built-set runtime memo misses.
         tt_states: Distinct built-sets recorded by transposition tables.
-        tt_prunes: Search nodes pruned as transposition-dominated.
+        tt_prunes: Search nodes the transposition table cuts: a child
+            whose built-set was reached before at an equal-or-better
+            prefix objective, or (the full DFS only) whose prefix
+            objective plus the set's learned suffix bound reaches the
+            incumbent.
         batch_evals: Whole-neighborhood scans answered through
             ``eval_all_swaps`` (either kernel).
         batch_moves: Moves scored inside numpy batch scans (the scalar
@@ -136,6 +142,44 @@ class EngineStats:
             setattr(self, name, 0)
 
 
+class DeployTables:
+    """The flattened instance arrays a deployment step reads.
+
+    One copy per :class:`EvalEngine`, shared by the engine and every
+    :class:`DeployState` made from it.  A state holds these tables, not
+    its engine, so the states an engine keeps (its base cursor, its
+    snapshots) form no reference cycle with it, and an engine is freed,
+    memos and all, as soon as the last solver or search drops it.
+    """
+
+    __slots__ = (
+        "n",
+        "n_queries",
+        "plan_query",
+        "plan_speedup",
+        "plan_size",
+        "plans_of_index",
+        "helpers",
+        "ctime",
+        "qweight",
+        "base_runtime",
+    )
+
+    def __init__(self, instance: ProblemInstance) -> None:
+        self.n = instance.n_indexes
+        self.n_queries = instance.n_queries
+        self.plan_query = [p.query_id for p in instance.plans]
+        self.plan_speedup = [p.speedup for p in instance.plans]
+        self.plan_size = [len(p.indexes) for p in instance.plans]
+        self.plans_of_index = [
+            list(instance.plans_containing(i)) for i in range(self.n)
+        ]
+        self.helpers = [list(instance.build_helpers(i)) for i in range(self.n)]
+        self.ctime = [ix.create_cost for ix in instance.indexes]
+        self.qweight = [q.weight for q in instance.queries]
+        self.base_runtime = instance.total_base_runtime
+
+
 class DeployState:
     """Deployment state after some prefix of indexes: the one replay step.
 
@@ -148,24 +192,25 @@ class DeployState:
     trajectory and the checkpoint baseline goes through it.  The DFS
     scores a child before deploying it as ``objective + runtime *
     EvalEngine.build_cost_in(index, mask)``, the same floats this step
-    computes.
+    computes.  A state reads its engine's :class:`DeployTables`.
     """
 
-    __slots__ = ("engine", "missing", "qbest", "built", "runtime", "objective")
+    __slots__ = ("tables", "missing", "qbest", "built", "runtime", "objective")
 
     def __init__(self, engine: "EvalEngine") -> None:
-        self.engine = engine
-        self.missing = engine.plan_size[:]
-        self.qbest = [0.0] * engine.instance.n_queries
-        self.built = bytearray(engine.n)
-        self.runtime = engine.base_runtime
+        tables = engine.tables
+        self.tables = tables
+        self.missing = tables.plan_size[:]
+        self.qbest = [0.0] * tables.n_queries
+        self.built = bytearray(tables.n)
+        self.runtime = tables.base_runtime
         self.objective = 0.0
 
     def copy(self) -> "DeployState":
         """An independent plain state equal to this one (a trial move's
         scratch; a cursor's stack and undo records are not copied)."""
         other = DeployState.__new__(DeployState)
-        other.engine = self.engine
+        other.tables = self.tables
         other.missing = self.missing[:]
         other.qbest = self.qbest[:]
         other.built = bytearray(self.built)
@@ -183,13 +228,13 @@ class DeployState:
         best)`` of every plan that raised its query's best speed-up, so
         :meth:`PrefixCursor.pop` restores the floats bit for bit.
         """
-        engine = self.engine
-        helpers = engine.helpers
-        ctime = engine.ctime
-        plans_of_index = engine.plans_of_index
-        plan_query = engine.plan_query
-        plan_speedup = engine.plan_speedup
-        qweight = engine.qweight
+        tables = self.tables
+        helpers = tables.helpers
+        ctime = tables.ctime
+        plans_of_index = tables.plans_of_index
+        plan_query = tables.plan_query
+        plan_speedup = tables.plan_speedup
+        qweight = tables.qweight
         missing = self.missing
         qbest = self.qbest
         built = self.built
@@ -259,12 +304,13 @@ class PrefixCursor(DeployState):
         """Un-deploy the most recent index; returns its id."""
         index_id = self._stack.pop()
         objective, runtime, raised = self._undo.pop()
-        plan_query = self.engine.plan_query
+        tables = self.tables
+        plan_query = tables.plan_query
         qbest = self.qbest
         for plan_id, previous in reversed(raised):
             qbest[plan_query[plan_id]] = previous
         missing = self.missing
-        for plan_id in self.engine.plans_of_index[index_id]:
+        for plan_id in tables.plans_of_index[index_id]:
             missing[plan_id] += 1
         self.built[index_id] = 0
         self.runtime = runtime
@@ -308,38 +354,57 @@ class PrefixCursor(DeployState):
 
 
 class TranspositionTable:
-    """Best known prefix objective per built-set, for dominance pruning.
+    """Per built-set: the best prefix objective seen, and a learned bound.
 
     The suffix cost of a deployment depends only on the built *set*
     (both the runtime and every build-interaction saving are functions
     of the set), so a permutation-prefix that reaches a set already
-    reached at an equal-or-better objective cannot lead anywhere new.
-    One table is valid for one search (constraints restrict which
-    prefixes are feasible, so tables must not be shared across solves
-    with different constraint sets).
+    reached at an equal-or-better objective cannot lead anywhere new,
+    and a lower bound on the cost of completing a set, once learned,
+    holds for every prefix that reaches it.  One table is valid for one
+    search (constraints restrict which prefixes are feasible, so tables
+    must not be shared across solves with different constraint sets).
     """
 
     def __init__(self, stats: Optional[EngineStats] = None) -> None:
-        self._best: Dict[int, float] = {}
+        # mask -> [best prefix objective, learned suffix lower bound]
+        self._entries: Dict[int, List[float]] = {}
         self._stats = stats
 
     def __len__(self) -> int:
-        return len(self._best)
+        return len(self._entries)
 
-    def dominated(self, mask: int, objective: float) -> bool:
-        """True (and prune) if ``mask`` was reached at <= ``objective``.
+    def cut(
+        self, mask: int, objective: float, cutoff: float = math.inf
+    ) -> Optional[float]:
+        """Check a prefix reaching ``mask`` at ``objective``.
 
-        Otherwise records ``objective`` as the new best for ``mask``.
+        The prefix is cut when the set was reached before at an
+        equal-or-better objective, or when ``objective`` plus the set's
+        learned bound is at least ``cutoff``; then the learned bound
+        (0.0 until :meth:`learn` raises it) is returned.  Otherwise
+        ``objective`` is recorded as the set's best and None returned.
         """
-        best = self._best.get(mask)
-        if best is not None and objective >= best - 1e-15:
+        entry = self._entries.get(mask)
+        if entry is None:
+            if self._stats is not None:
+                self._stats.tt_states += 1
+            self._entries[mask] = [objective, 0.0]
+            return None
+        if objective >= entry[0] - 1e-15 or objective + entry[1] >= cutoff:
             if self._stats is not None:
                 self._stats.tt_prunes += 1
-            return True
-        if best is None and self._stats is not None:
-            self._stats.tt_states += 1
-        self._best[mask] = objective
-        return False
+            return entry[1]
+        entry[0] = objective
+        return None
+
+    def learn(self, mask: int, bound: float) -> float:
+        """Raise the learned bound of a recorded ``mask`` to at least
+        ``bound``; returns the learned bound."""
+        entry = self._entries[mask]
+        if bound > entry[1]:
+            entry[1] = bound
+        return entry[1]
 
 
 class EvalEngine:
@@ -360,16 +425,13 @@ class EvalEngine:
         self.n = instance.n_indexes
         self.kernel = kernel
         # Flattened instance arrays — the one copy every consumer shares.
-        self.plan_query = [p.query_id for p in instance.plans]
-        self.plan_speedup = [p.speedup for p in instance.plans]
-        self.plan_size = [len(p.indexes) for p in instance.plans]
-        self.plans_of_index = [
-            list(instance.plans_containing(i)) for i in range(self.n)
-        ]
-        self.helpers = [list(instance.build_helpers(i)) for i in range(self.n)]
-        self.ctime = [ix.create_cost for ix in instance.indexes]
-        self.qweight = [q.weight for q in instance.queries]
-        self.base_runtime = instance.total_base_runtime
+        self.tables = tables = DeployTables(instance)
+        self.plan_query = tables.plan_query
+        self.plan_speedup = tables.plan_speedup
+        self.plans_of_index = tables.plans_of_index
+        self.helpers = tables.helpers
+        self.ctime = tables.ctime
+        self.qweight = tables.qweight
         self.stats = EngineStats()
         # Built-set memo (bitmask -> weighted total runtime), and the
         # delta tables its misses are computed from (built on first miss).

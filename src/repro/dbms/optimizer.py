@@ -22,7 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.dbms.catalog import Catalog
 from repro.dbms.query import Predicate, PredicateOp, Query
@@ -102,6 +111,19 @@ _Step = Tuple[
 ]
 
 
+class _TableInputs(NamedTuple):
+    """What costing one table's access paths for one query reads that
+    no configuration changes: the table, the query's filters on it, the
+    columns an index must store to cover it, its heap scan and its heap
+    page count."""
+
+    table: Table
+    predicates: List[Predicate]
+    needed: List[str]
+    heap: AccessPath
+    pages: int
+
+
 class Optimizer:
     """Configuration-relative cost-based optimizer.
 
@@ -126,6 +148,7 @@ class Optimizer:
             Tuple[Query, Optional[str], Optional[str]], FrozenSet[str]
         ] = {}
         self._joins: Dict[Query, Dict[str, List[Tuple[str, str, int]]]] = {}
+        self._inputs: Dict[Tuple[Query, str], _TableInputs] = {}
         self._version = catalog.version
 
     def _sync(self) -> None:
@@ -134,7 +157,27 @@ class Optimizer:
             self._paths.clear()
             self._usable.clear()
             self._joins.clear()
+            self._inputs.clear()
             self._version = self.catalog.version
+
+    def _table_inputs(self, query: Query, table_name: str) -> _TableInputs:
+        """The configuration-free inputs of ``table_name``'s access
+        paths for ``query``, computed once per catalog version."""
+        self._sync()
+        key = (query, table_name)
+        inputs = self._inputs.get(key)
+        if inputs is None:
+            table = self.catalog.table(table_name)
+            predicates = query.predicates_on(table_name)
+            inputs = _TableInputs(
+                table,
+                predicates,
+                query.columns_needed(table_name),
+                self._heap_scan(table, predicates),
+                table.pages,
+            )
+            self._inputs[key] = inputs
+        return inputs
 
     def usable(
         self,
@@ -162,12 +205,13 @@ class Optimizer:
                     )
                 )
             else:
-                predicates = query.predicates_on(table_name)
-                needed = query.columns_needed(table_name)
+                inputs = self._table_inputs(query, table_name)
                 usable = frozenset(
                     spec.name
                     for spec in self.catalog.indexes_on(table_name)
-                    if _usable(spec, predicates, needed, join_column)
+                    if _usable(
+                        spec, inputs.predicates, inputs.needed, join_column
+                    )
                 )
             self._usable[key] = usable
         return usable
@@ -208,16 +252,12 @@ class Optimizer:
         ``join_column`` adds an equality probe on that column (the inner
         side of an index-nested-loop join).
         """
-        table = self.catalog.table(table_name)
-        predicates = query.predicates_on(table_name)
-        needed = query.columns_needed(table_name)
-        paths = [self._heap_scan(table, predicates)]
+        inputs = self._table_inputs(query, table_name)
+        paths = [inputs.heap]
         for spec in self.catalog.indexes_on(table_name):
             if spec.name not in configuration:
                 continue
-            path = self._index_path(
-                table, spec, predicates, needed, join_column
-            )
+            path = self._index_path(inputs, spec, join_column)
             if path is not None:
                 paths.append(path)
         return paths
@@ -260,12 +300,12 @@ class Optimizer:
 
     def _index_path(
         self,
-        table: Table,
+        inputs: _TableInputs,
         spec: IndexSpec,
-        predicates: Sequence[Predicate],
-        needed: Sequence[str],
         join_column: Optional[str],
     ) -> Optional[AccessPath]:
+        table = inputs.table
+        predicates = inputs.predicates
         eq_columns: Dict[str, Predicate] = {}
         range_columns: Dict[str, Predicate] = {}
         for predicate in predicates:
@@ -305,7 +345,7 @@ class Optimizer:
             # No key column matched, so the index serves only as a
             # covering scan (cheaper than the heap when narrower), and
             # only where the usability rule admits it.
-            if not _usable(spec, predicates, needed, join_column):
+            if not _usable(spec, predicates, inputs.needed, join_column):
                 return None
             selectivity = combined_selectivity(predicates, table)
             cost = (
@@ -328,7 +368,7 @@ class Optimizer:
         ]
         residual_selectivity = combined_selectivity(residual, table)
         out_rows = max(1.0, matched_rows * residual_selectivity)
-        needed_all = set(needed)
+        needed_all = set(inputs.needed)
         if join_column is not None:
             needed_all.add(join_column)
         covering = spec.covers(sorted(needed_all))
@@ -340,7 +380,7 @@ class Optimizer:
         if not covering:
             fetch = min(
                 matched_rows * self.cost.random_page,
-                table.pages * self.cost.seq_page,
+                inputs.pages * self.cost.seq_page,
             )
             cost += fetch
         # Rows arrive ordered by the key columns after the eq prefix.

@@ -99,6 +99,7 @@ class _Lattice:
                             mask |= 1 << pred
                 self.pred_masks[unit_id] = mask
         self.full_mask = (1 << self.n) - 1
+        self._heuristic: Dict[int, float] = {}
 
     def runtime(self, mask: int) -> float:
         """Weighted total query runtime for a built-set bitmask."""
@@ -122,8 +123,17 @@ class _Lattice:
         return objective, total_cost
 
     def heuristic(self, mask: int) -> float:
-        """Admissible lower bound on the remaining objective."""
-        return self.engine.suffix_bound(self.engine.runtime_of(mask), mask)
+        """Admissible lower bound on the remaining objective.
+
+        A function of the set alone, so it is computed once per set,
+        however often the set's g-score improves.
+        """
+        value = self._heuristic.get(mask)
+        if value is None:
+            engine = self.engine
+            value = engine.suffix_bound(engine.runtime_of(mask), mask)
+            self._heuristic[mask] = value
+        return value
 
     def expandable(self, unit_id: int, mask: int) -> bool:
         if mask & self.unit_masks[unit_id]:

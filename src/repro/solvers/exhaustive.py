@@ -7,29 +7,43 @@ bound for pruning against the incumbent.  Without pruning this is the
 factorial search the paper uses as its reference point ("runtime of CP
 without pruning is roughly proportional to |I|!").
 
-Two engine-backed prunes are applied on top of the incumbent bound:
+The suffix cost of a prefix depends only on its built *set*, so a
+transposition table over built-set bitmasks keeps two things per set,
+which collapse the factorial permutation tree toward the ``2^n``
+subset lattice:
 
-* the shared density suffix bound (:meth:`EvalEngine.suffix_bound`),
-* a transposition table over built-set bitmasks — the suffix cost of a
-  prefix depends only on its built *set*, so any prefix reaching an
-  already-seen set at an equal-or-worse objective is dominated and cut,
-  which collapses the factorial permutation tree toward the ``2^n``
-  subset lattice.
+* the best prefix objective seen: a prefix reaching the set at an
+  equal-or-worse objective is dominated and cut;
+* a learned lower bound on the cost of completing the set: the least,
+  over an expanded node's children, of the step's cost plus the
+  child's bound (0 at a leaf, +inf at a dead end, the density bound at
+  a node pruned on it, the table's value at a cut child).  A prefix
+  reaching the set is cut once its objective plus that bound is at
+  least ``incumbent * CUT_SCALE + CUT_SLACK``, even when it is better
+  than every earlier prefix, so a set first reached by a worse prefix
+  is not searched again from scratch.
 
 Each node is checked before it is deployed.  A child's objective is
 scored from its parent's state, then the node is counted, the budget
-ticks, a leaf is offered as an incumbent and the transposition table
-checks dominance; only a surviving child is pushed on the cursor,
-where the suffix bound is tested before its own children are scored.
-On the first 13 TPC-H indexes 171,401 of 245,801 nodes die at the
-dominance check and so are never deployed.
+ticks, a leaf is offered as an incumbent and one table lookup runs both
+cuts; only a surviving child is pushed on the cursor, where the suffix
+bound is tested before its own children are scored.  No leaf below the
+incumbent is ever cut (see :data:`CUT_SCALE`), so a full search finds
+the same incumbents in the same order as it would without learned
+bounds, in fewer nodes: on the first 13 TPC-H indexes 41,776 nodes
+instead of 245,801 over 7,368 sets, and 32,418 of the 41,776 die at
+the table check and so are never deployed.
 
 Candidates branch in CP's static density order (:func:`branching_order`).
 Precedence constraints restrict which index may be placed next;
 consecutive (alliance) pairs force the glued successor immediately.
 :class:`ExhaustiveSolver` and its subclass ``CPSolver`` run this one
 search (:meth:`DFSState.solve`), and every LNS/VNS relaxation runs it
-with pinned slots (:meth:`DFSState.relax`).
+with pinned slots (:meth:`DFSState.relax`).  A relaxation learns no
+bounds and its cutoff stays infinite, so its table checks dominance
+alone: a learned-bound cut counts as a failure and spares the nodes
+and failures below it, so learning would change relaxations' failure
+counts and with them the VNS/LNS trajectories.
 """
 
 from __future__ import annotations
@@ -47,6 +61,15 @@ from repro.solvers.greedy import greedy_order
 from repro.solvers.registry import register
 
 __all__ = ["DFSState", "ExhaustiveSolver", "branching_order"]
+
+#: The full search cuts a child once its prefix objective plus its
+#: set's learned bound is at least ``incumbent * CUT_SCALE + CUT_SLACK``.
+#: A learned bound sums a suffix's step costs from the leaf up, while a
+#: leaf's objective sums them from the root down; the margin is far
+#: above the float drift between the two, so no leaf that beats the
+#: incumbent is ever cut.
+CUT_SCALE = 1.0 + 1e-12
+CUT_SLACK = 1e-9
 
 
 @register(
@@ -170,11 +193,11 @@ class DFSState:
         self.pinned_mask = 0
         self.failure_limit = failure_limit
         self.transpositions = self.engine.new_transposition_table()
-        # A relaxation counts a dominated child as a failure; the full
-        # search has no failure limit and checks dominance directly.
-        self.dominated = (
-            self.transpositions.dominated if pins is None else self._dominated
-        )
+        # Only the full search learns suffix bounds and cuts on them; a
+        # relaxation's cutoff stays infinite, so its table checks
+        # dominance alone.
+        self.learns = pins is None
+        self.cutoff = math.inf
         self.best_order: Optional[List[int]] = None
         self.best_objective = float("inf")
         self.nodes = 0
@@ -189,7 +212,7 @@ class DFSState:
         self.cursor.align(())
         self.built_mask = 0
         self.offer(start, None)
-        if self._visit(None, self.cursor.objective, 0):
+        if self._visit(None, self.cursor.objective, 0) is None:
             self._expand(None)
 
     def relax(
@@ -235,7 +258,7 @@ class DFSState:
             mask |= 1 << index_id
         self.cursor.align(order[:first])
         self.built_mask = mask
-        if self._visit(None, self.cursor.objective, mask):
+        if self._visit(None, self.cursor.objective, mask) is None:
             self._expand(last)
 
     def offer(self, order: List[int], objective: Optional[float]) -> None:
@@ -254,6 +277,8 @@ class DFSState:
             objective = self.engine.evaluate(order)
         self.best_objective = objective
         self.best_order = order
+        if self.learns:
+            self.cutoff = objective * CUT_SCALE + CUT_SLACK
         self.trace.append((time.perf_counter(), objective))
 
     def _fail(self) -> None:
@@ -261,13 +286,6 @@ class DFSState:
         self.failures += 1
         if self.failures > self.failure_limit:
             self.interrupted = True
-
-    def _dominated(self, mask: int, objective: float) -> bool:
-        """A relaxation's dominance check: a pruned child is a failure."""
-        if self.transpositions.dominated(mask, objective):
-            self._fail()
-            return True
-        return False
 
     def _fits(self, index_id: int, last: Optional[int], mask: int) -> bool:
         """True when ``index_id`` may follow ``last`` on built-set ``mask``."""
@@ -293,18 +311,20 @@ class DFSState:
 
     def _visit(
         self, index_id: Optional[int], objective: float, mask: int
-    ) -> bool:
+    ) -> Optional[float]:
         """Visit the node that deploys ``index_id`` on the cursor's prefix.
 
         ``index_id`` is ``None`` at the root; ``objective`` and ``mask``
         are the node's own, scored before anything is deployed.  Counts
-        the node, ticks the budget, offers a leaf and runs the dominance
-        check; True when the node is to be expanded.
+        the node, ticks the budget, offers a leaf and runs the table
+        check.  Returns None when the node is to be expanded, else a
+        lower bound on the cost of completing its set: 0 for a leaf,
+        the set's learned bound for a child the table cuts.
         """
         self.nodes += 1
         if self.budget is not None and self.budget.tick():
             self.interrupted = True
-            return False
+            return 0.0
         if mask == self.full_mask:
             if objective < self.best_objective:
                 order = list(self.cursor.stack)
@@ -313,48 +333,65 @@ class DFSState:
                 self.offer(order, objective)
             else:
                 self._fail()
-            return False
-        # Built-set dominance: the same set reached before at an
-        # equal-or-better objective completes at least as cheaply.  The
-        # candidate set is a function of the built-set alone (a pending
-        # alliance forces an identical last element for every prefix
-        # sharing the mask, and a pinned slot holds the same index), so
-        # the prune is exact.
-        return not self.dominated(mask, objective)
+            return 0.0
+        # The candidate set is a function of the built-set alone (a
+        # pending alliance forces an identical last element for every
+        # prefix sharing the mask, and a pinned slot holds the same
+        # index), so a set reached before at an equal-or-better
+        # objective completes at least as cheaply, and a bound on the
+        # cost of completing a set holds for every prefix reaching it.
+        bound = self.transpositions.cut(mask, objective, self.cutoff)
+        if bound is not None:
+            self._fail()
+        return bound
 
-    def _expand(self, last: Optional[int]) -> None:
-        """Bound the node on the cursor, then visit and expand its children."""
+    def _expand(self, last: Optional[int]) -> float:
+        """Bound the node on the cursor, then visit and expand its children.
+
+        Returns a lower bound on the cost of completing the node's
+        built-set, which the full search records as the set's learned
+        bound: the density bound when the node is pruned on it, else
+        the least, over the children, of the step's cost plus the
+        child's bound (+inf at a dead end).  The table keeps the larger
+        of that and the bound it had.  An interrupted search records
+        nothing.
+        """
         cursor = self.cursor
         if self.pins is not None and self.pins[cursor.depth] >= 0:
             self._expand_pinned(last)
-            return
+            return 0.0
         objective = cursor.objective
         mask = self.built_mask
-        bound = objective + self.engine.suffix_bound(cursor.runtime, mask)
-        if bound >= self.best_objective - 1e-12:
-            self._fail()
-            return
-        candidates = self._candidates(last)
-        if not candidates:
-            self._fail()
-        # A child's objective is the one DeployState.deploy reaches, so
-        # it is scored without deploying; only survivors are pushed.
         runtime = cursor.runtime
-        build_cost_in = self.engine.build_cost_in
-        for candidate in candidates:
-            child_mask = mask | 1 << candidate
-            if self._visit(
-                candidate,
-                objective + runtime * build_cost_in(candidate, mask),
-                child_mask,
-            ):
-                cursor.push(candidate)
-                self.built_mask = child_mask
-                self._expand(candidate)
-                cursor.pop()
-                self.built_mask = mask
-            if self.interrupted:
-                return
+        least = self.engine.suffix_bound(runtime, mask)
+        if objective + least >= self.best_objective - 1e-12:
+            self._fail()
+        else:
+            candidates = self._candidates(last)
+            if not candidates:
+                self._fail()
+            least = math.inf
+            # A child's objective is the one DeployState.deploy reaches,
+            # so it is scored without deploying; only survivors are
+            # pushed.
+            build_cost_in = self.engine.build_cost_in
+            for candidate in candidates:
+                step = runtime * build_cost_in(candidate, mask)
+                child_mask = mask | 1 << candidate
+                bound = self._visit(candidate, objective + step, child_mask)
+                if bound is None:
+                    cursor.push(candidate)
+                    self.built_mask = child_mask
+                    bound = self._expand(candidate)
+                    cursor.pop()
+                    self.built_mask = mask
+                if self.interrupted:
+                    return least
+                if step + bound < least:
+                    least = step + bound
+        if self.learns:
+            least = self.transpositions.learn(mask, least)
+        return least
 
     def _expand_pinned(self, last: Optional[int]) -> None:
         """Deploy the pinned slots up to the next free one, then expand

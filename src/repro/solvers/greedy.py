@@ -72,13 +72,13 @@ def greedy_order(
 
 def _best_by_density(state: DeployState, eligible: Iterable[int]) -> int:
     """The first ``eligible`` index (ascending) of highest density."""
-    engine = state.engine
-    plans_of_index = engine.plans_of_index
-    plan_query = engine.plan_query
-    plan_speedup = engine.plan_speedup
-    qweight = engine.qweight
-    helpers = engine.helpers
-    ctime = engine.ctime
+    tables = state.tables
+    plans_of_index = tables.plans_of_index
+    plan_query = tables.plan_query
+    plan_speedup = tables.plan_speedup
+    qweight = tables.qweight
+    helpers = tables.helpers
+    ctime = tables.ctime
     missing = state.missing
     qbest = state.qbest
     built = state.built

@@ -8,6 +8,7 @@ bound provider) against the reference :class:`ObjectiveEvaluator`.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -216,20 +217,34 @@ class TestMemoLayer:
 
     def test_transposition_dominance(self, engine):
         table = engine.new_transposition_table()
-        assert not table.dominated(0b101, 10.0)  # first arrival recorded
-        assert table.dominated(0b101, 10.0)  # equal arrival pruned
-        assert table.dominated(0b101, 11.0)  # worse arrival pruned
-        assert not table.dominated(0b101, 9.0)  # better arrival explores
-        assert table.dominated(0b101, 9.5)  # ... and updates the record
+        assert table.cut(0b101, 10.0) is None  # first arrival recorded
+        assert table.cut(0b101, 10.0) == 0.0  # equal arrival pruned
+        assert table.cut(0b101, 11.0) == 0.0  # worse arrival pruned
+        assert table.cut(0b101, 9.0) is None  # better arrival explores
+        assert table.cut(0b101, 9.5) == 0.0  # ... and updates the record
         assert engine.stats.tt_prunes == 3
         assert engine.stats.tt_states == 1
         assert len(table) == 1
 
+    def test_learned_bound_cuts_better_prefixes(self, engine):
+        table = engine.new_transposition_table()
+        assert table.cut(0b11, 10.0, 100.0) is None
+        assert table.learn(0b11, 50.0) == 50.0
+        assert table.learn(0b11, 40.0) == 50.0  # only ever raised
+        # Better than the recorded prefix, but 9 + 50 reaches the cutoff:
+        # cut, reporting the learned bound.
+        assert table.cut(0b11, 9.0, 59.0) == 50.0
+        # Below the cutoff the better prefix is recorded and explored.
+        assert table.cut(0b11, 8.0, 59.0) is None
+        assert table.cut(0b11, 8.5, math.inf) == 50.0  # dominated
+        assert engine.stats.tt_prunes == 2
+        assert engine.stats.tt_states == 1
+
     def test_tables_are_independent(self, engine):
         first = engine.new_transposition_table()
         second = engine.new_transposition_table()
-        assert not first.dominated(0b1, 1.0)
-        assert not second.dominated(0b1, 2.0)  # separate searches
+        assert first.cut(0b1, 1.0) is None
+        assert second.cut(0b1, 2.0) is None  # separate searches
 
 
 def _mask_walk(n, steps, seed):

@@ -340,9 +340,7 @@ class TestUsabilityRule:
         rejections = 0
         for query in queries:
             for table_name in query.tables:
-                table = catalog.table(table_name)
-                predicates = query.predicates_on(table_name)
-                needed = query.columns_needed(table_name)
+                inputs = optimizer._table_inputs(query, table_name)
                 columns = [None] + [
                     edge.column_of(table_name)
                     for edge in query.joins_of(table_name)
@@ -354,7 +352,7 @@ class TestUsabilityRule:
                             continue
                         rejections += 1
                         assert optimizer._index_path(
-                            table, spec, predicates, needed, column
+                            inputs, spec, column
                         ) is None, (query.name, spec.name, column)
         assert rejections > 0
 

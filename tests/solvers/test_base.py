@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from repro.solvers.base import (
     repair_order,
 )
 from repro.solvers.exhaustive import ExhaustiveSolver
+from repro.solvers.registry import available_solvers, create
 
 from tests.conftest import make_paper_example, small_synthetic
 
@@ -74,6 +77,29 @@ class TestBudget:
         )
         assert time.perf_counter() - start < 0.5
         assert result.status is SolveStatus.TIMEOUT
+
+
+@pytest.mark.parametrize("name", available_solvers())
+def test_engine_is_freed_with_its_solver(name):
+    # Neither the engine nor a search over it may sit in a reference
+    # cycle: with the collector off, an engine that outlived its solve
+    # would keep its memos until a full collection.
+    instance = small_synthetic(seed=0, n=7)
+    solver = create(name)
+    solver.engine = EvalEngine(instance)
+    engine = weakref.ref(solver.engine)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = solver.solve(
+            instance, None, Budget(time_limit=0.5, node_limit=2000)
+        )
+        del solver
+        assert engine() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert result.solution is not None
 
 
 class TestEngineSuffixBound:

@@ -88,7 +88,8 @@ class TestCPBudget:
         assert result.solution is not None
 
     def test_time_budget_times_out(self):
-        instance = small_synthetic(seed=0, n=12)
+        # The DFS proves n=12 in ~0.02 s; n=20 runs well past 5 s.
+        instance = small_synthetic(seed=0, n=20)
         result = CPSolver().solve(instance, budget=Budget(time_limit=0.05))
         assert result.solution is not None
         assert result.status is not SolveStatus.OPTIMAL

@@ -4,7 +4,10 @@ The DFS (``exhaustive`` and ``cp``) scores
 each child before deploying it, A* keeps each heap entry's heuristic,
 and a built-set runtime miss is a delta over the previous one.  None of
 that may change which nodes a search visits, so these cells pin node
-counts, engine counters, orders, objective bits and traces.
+counts, engine counters, orders, objective bits and traces.  The DFS's
+learned suffix bounds cut nodes but no incumbent, so its orders,
+objective bits and traces are those of the search without them
+(``tests/dfs_oracle.py``), in fewer nodes.
 """
 
 from __future__ import annotations
@@ -12,17 +15,22 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.constraints import ConstraintSet
 from repro.analysis.fixpoint import analyze
 from repro.core.engine import EvalEngine
 from repro.core.solution import SolveStatus
+from repro.errors import InfeasibleError
 from repro.experiments.instances import reduced_tpch, tpch_instance
 from repro.solvers.astar import AStarSolver
 from repro.solvers.base import Budget
 from repro.solvers.cp import CPSolver
 from repro.solvers.exhaustive import ExhaustiveSolver
 
-from tests.conftest import tpcds_shaped
+from tests.conftest import small_synthetic, tpcds_shaped
+from tests.dfs_oracle import oracle_dfs
 
 
 def _first(instance, k):
@@ -54,7 +62,7 @@ DFS_CELLS = {
     "13-mid+": (
         lambda: reduced_tpch(13, "mid"),
         True,
-        (198_372, 141_555, 5_703),
+        (39_816, 31_485, 5_703),
         (4, 3, 12, 2, 0, 5, 9, 11, 1, 6, 8, 10, 7),
         "0x1.f5fa047e3c3acp+42",
         (55, "ebbee3685b162364"),
@@ -62,7 +70,7 @@ DFS_CELLS = {
     "9-low+": (
         lambda: reduced_tpch(9, "low"),
         True,
-        (2_964, 1_709, 296),
+        (1_138, 762, 296),
         (0, 3, 5, 7, 4, 2, 1, 8, 6),
         "0x1.a76bc931887efp+42",
         (16, "62bef2b587510ec1"),
@@ -70,7 +78,7 @@ DFS_CELLS = {
     "tpch-first-13": (
         lambda: _first(tpch_instance(), 13),
         False,
-        (245_801, 171_401, 7_368),
+        (41_776, 32_418, 7_368),
         (5, 4, 3, 8, 2, 0, 1, 6, 7, 9, 12, 10, 11),
         "0x1.9c9bf051ce687p+42",
         (121, "2f3af3387e1ff297"),
@@ -104,14 +112,14 @@ def test_dfs_pins(cell, solver_name):
             50,
             (0, 1, 4, 2, 3, 9, 8, 6, 11, 5, 10, 12, 7),
             "0x1.080f21a202acfp+43",
-            (6, 34),
+            (8, 34),
             id="50",
         ),
         pytest.param(
             20_000,
-            (0, 1, 3, 4, 12, 2, 5, 9, 11, 6, 8, 10, 7),
-            "0x1.f7d2568e70355p+42",
-            (11_921, 1_435),
+            (0, 3, 1, 12, 2, 4, 5, 9, 11, 6, 8, 10, 7),
+            "0x1.f7ba01dcb37d8p+42",
+            (15_317, 3_375),
             id="20000",
         ),
     ],
@@ -130,6 +138,68 @@ def test_dfs_stopped_by_node_limit(limit, order, objective, tt):
     assert result.solution.order == order
     assert result.solution.objective.hex() == objective
     assert (stats.tt_prunes, stats.tt_states) == tt
+
+
+def _random_constraints(n, kind, rng):
+    """No set, random precedences, or random consecutive pairs; with
+    ``"conflicting pairs"`` one index leads two pairs, so no order
+    satisfies the set."""
+    if kind == "none":
+        return None
+    constraints = ConstraintSet(n)
+    if kind == "conflicting pairs":
+        first, second, third = rng.sample(range(n), 3)
+        constraints.add_consecutive(first, second)
+        constraints.add_consecutive(first, third)
+    for _ in range(rng.randint(1, 4)):
+        before, after = rng.sample(range(n), 2)
+        try:
+            if kind == "precedences":
+                constraints.add_precedence(before, after)
+            else:
+                constraints.add_consecutive(before, after)
+        except InfeasibleError:
+            continue
+    return constraints
+
+
+class TestLearnedBound:
+    """The DFS's learned suffix bounds cut only subtrees that hold no
+    better leaf: every full search finds the oracle's incumbents, in
+    the same order, with no more nodes."""
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=3, max_value=10),
+        st.sampled_from(
+            ["none", "precedences", "pairs", "conflicting pairs"]
+        ),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_oracle(self, seed, n, kind, interactions, rng):
+        instance = small_synthetic(
+            seed, n, build_interaction_rate=1.0 if interactions else 0.0
+        )
+        constraints = _random_constraints(n, kind, rng)
+        oracle = oracle_dfs(instance, constraints)
+        result = ExhaustiveSolver().solve(instance, constraints)
+        if oracle.order is None:
+            assert result.status is SolveStatus.INFEASIBLE
+            assert result.solution is None
+        else:
+            assert result.status is SolveStatus.OPTIMAL
+            assert list(result.solution.order) == oracle.order
+            assert result.solution.objective.hex() == oracle.objective.hex()
+        assert [value.hex() for _, value in result.trace] == [
+            value.hex() for value in oracle.trace
+        ]
+        assert result.nodes <= oracle.nodes
 
 
 #: cell -> (instance, with constraints, nodes, order, objective bits,
