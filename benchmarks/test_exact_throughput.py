@@ -6,7 +6,7 @@ that changed rescan their plans, and the per-query terms are summed in
 ``ProblemInstance.total_runtime``'s order.  This benchmark pins that the
 delta is both exact and faster.  On the TPC-DS tail-analysis masks
 (all 139 indexes but one pair, pairs in lexicographic order, the sets
-the tails pass looks up) every lookup is a miss.  Slices of them run
+a full length-2 tail enumeration looks up) every lookup is a miss.  Slices of them run
 through ``runtime_of`` and through ``total_runtime``, interleaved in one
 process so CPU-speed drift hits both alike.  Every value must be
 bit-identical to the oracle's, and the engine must beat it by a floor.

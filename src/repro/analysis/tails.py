@@ -13,6 +13,15 @@ last deployed index.  The surrounding loop then fixes that index,
 shrinks the active problem, and repeats (Section 5.6, iterate and
 recurse).
 
+The search for that index visits tail sets one at a time, in
+``itertools.combinations`` order, and leaves a tail length as soon as
+two champions end in different indexes: no index closes every champion
+at that length, whatever the unscored sets hold.  A length is given up
+before any order is scored when its sets times ``length!`` orders
+exceed ``max_patterns``; when no candidate has a successor inside the
+active set, every set passes the successor closure and that count is a
+binomial coefficient, so the sets are not listed to count them.
+
 The permutations of one tail set revisit the same few built-sets, and
 successive tail lengths and rounds revisit them again, so every step's
 runtime comes from the built-set memo of an :class:`EvalEngine`.
@@ -22,14 +31,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.constraints import ConstraintSet
 from repro.core.engine import EvalEngine
 from repro.core.instance import ProblemInstance
 from repro.errors import InfeasibleError
 
-__all__ = ["TailPattern", "enumerate_tail_patterns", "apply_tails"]
+__all__ = [
+    "TailPattern",
+    "enumerate_tail_patterns",
+    "tail_champion",
+    "apply_tails",
+]
 
 DEFAULT_MAX_PATTERNS = 20000
 
@@ -98,6 +112,68 @@ def _order_feasible(
     return True
 
 
+def _tail_sets(
+    constraints: ConstraintSet,
+    active: Set[int],
+    length: int,
+    max_patterns: int,
+) -> Optional[Iterable[Tuple[int, ...]]]:
+    """The tail sets of ``length`` within ``active``, in combinations order.
+
+    A set qualifies when nothing active outside it is forced after one
+    of its members (the successor closure).  Returns ``None`` when the
+    qualifying sets times their ``length!`` orders, feasible or not,
+    exceed ``max_patterns`` (the analysis then gives up rather than pay
+    unbounded pre-analysis cost, mirroring the paper's threshold ``k``).
+    """
+    active_mask = EvalEngine.mask_of(active)
+    later = {t: constraints.successor_mask(t) & active_mask for t in active}
+    candidates = [t for t in sorted(active) if later[t].bit_count() < length]
+    orders_per_set = math.factorial(length)
+    if not any(later[t] for t in candidates):
+        # Every set passes the closure: count them without listing them.
+        if math.comb(len(candidates), length) * orders_per_set > max_patterns:
+            return None
+        return itertools.combinations(candidates, length)
+    sets = []
+    for combo in itertools.combinations(candidates, length):
+        members = EvalEngine.mask_of(combo)
+        if any(later[t] & ~members for t in combo):
+            continue
+        sets.append(combo)
+        if len(sets) * orders_per_set > max_patterns:
+            return None
+    return sets
+
+
+def _set_patterns(
+    engine: EvalEngine,
+    constraints: ConstraintSet,
+    active: Set[int],
+    active_mask: int,
+    tail_set: Tuple[int, ...],
+) -> Iterator[TailPattern]:
+    """The feasible orders of one tail set, in permutations order."""
+    preceding = active_mask & ~EvalEngine.mask_of(tail_set)
+    for perm in itertools.permutations(tail_set):
+        if _order_feasible(constraints, active, perm):
+            yield TailPattern(perm, _tail_objective(engine, preceding, perm))
+
+
+def tail_champion(patterns: Iterable[TailPattern]) -> Optional[TailPattern]:
+    """The champion of one tail set's patterns (Theorem 9).
+
+    The first pattern whose objective beats every earlier one by more
+    than 1e-12, so an exact or near tie keeps the earlier order;
+    ``None`` when the set has no feasible order.
+    """
+    best = None
+    for pattern in patterns:
+        if best is None or pattern.objective < best.objective - 1e-12:
+            best = pattern
+    return best
+
+
 def enumerate_tail_patterns(
     instance: ProblemInstance,
     constraints: ConstraintSet,
@@ -108,84 +184,63 @@ def enumerate_tail_patterns(
 ) -> Optional[List[TailPattern]]:
     """Enumerate all feasible ordered tails of ``length`` within ``active``.
 
-    Returns ``None``, before scoring any pattern, when the enumeration
-    would exceed ``max_patterns`` (the analysis then gives up rather
-    than pay unbounded pre-analysis cost, mirroring the paper's
-    threshold ``k``).  ``engine`` supplies
-    the built-set runtime memo; pass one to share it across calls.
+    Patterns come grouped by tail set, sets in combinations order and
+    each set's orders in permutations order.  Returns ``None``, before
+    scoring any pattern, when the enumeration would exceed
+    ``max_patterns`` (see :func:`_tail_sets`).  ``engine`` supplies the
+    built-set runtime memo; pass one to share it across calls.
     """
     if length > len(active):
         return []
+    tail_sets = _tail_sets(constraints, active, length, max_patterns)
+    if tail_sets is None:
+        return None
     if engine is None:
         engine = EvalEngine(instance)
-    candidates = [
-        t
-        for t in sorted(active)
-        if len(constraints.successors(t) & active) < length
-    ]
-    # Every combo that passes the successor closure contributes all its
-    # ``length!`` orders to the count, feasible or not; give up before
-    # scoring any once the count exceeds ``max_patterns``.
-    orders_per_combo = math.factorial(length)
-    combos = []
-    for combo in itertools.combinations(candidates, length):
-        member_set = set(combo)
-        # Successor closure: nothing outside the tail may be forced after
-        # a tail member.
-        if any(
-            not (constraints.successors(t) & active) <= member_set
-            for t in combo
-        ):
-            continue
-        combos.append(combo)
-        if len(combos) * orders_per_combo > max_patterns:
-            return None
     active_mask = EvalEngine.mask_of(active)
-    patterns: List[TailPattern] = []
-    for combo in combos:
-        preceding = active_mask & ~EvalEngine.mask_of(combo)
-        for perm in itertools.permutations(combo):
-            if not _order_feasible(constraints, active, perm):
-                continue
-            objective = _tail_objective(engine, preceding, perm)
-            patterns.append(TailPattern(tuple(perm), objective))
-    return patterns
-
-
-def _champions(patterns: List[TailPattern]) -> Dict[frozenset, TailPattern]:
-    """Best pattern per tail set (Theorem 9)."""
-    best: Dict[frozenset, TailPattern] = {}
-    for pattern in patterns:
-        key = pattern.tail_set
-        incumbent = best.get(key)
-        if incumbent is None or pattern.objective < incumbent.objective - 1e-12:
-            best[key] = pattern
-    return best
+    return [
+        pattern
+        for tail_set in tail_sets
+        for pattern in _set_patterns(
+            engine, constraints, active, active_mask, tail_set
+        )
+    ]
 
 
 def _find_forced_last(
-    instance: ProblemInstance,
     constraints: ConstraintSet,
     active: Set[int],
     max_patterns: int,
     max_length: int,
     engine: EvalEngine,
 ) -> Optional[int]:
-    """Index that is last in every champion, or ``None``."""
+    """Index that is last in every champion of some length, or ``None``.
+
+    A length is left at the first champion that ends in a different
+    index from an earlier one.
+    """
+    active_mask = EvalEngine.mask_of(active)
     for length in range(2, max_length + 1):
         if length > len(active) - 1:
             break
-        patterns = enumerate_tail_patterns(
-            instance, constraints, active, length, max_patterns, engine
-        )
-        if patterns is None:
+        tail_sets = _tail_sets(constraints, active, length, max_patterns)
+        if tail_sets is None:
             break  # enumeration threshold exceeded; stop growing
-        if not patterns:
-            continue
-        champions = _champions(patterns)
-        last_elements = {pattern.order[-1] for pattern in champions.values()}
-        if len(last_elements) == 1:
-            return next(iter(last_elements))
+        last = None
+        for tail_set in tail_sets:
+            patterns = _set_patterns(
+                engine, constraints, active, active_mask, tail_set
+            )
+            champion = tail_champion(patterns)
+            if champion is None:
+                continue
+            if last is None:
+                last = champion.order[-1]
+            elif champion.order[-1] != last:
+                break
+        else:
+            if last is not None:
+                return last
     return None
 
 
@@ -198,7 +253,7 @@ def apply_tails(
 ) -> int:
     """Iteratively pin forced-last indexes (Sections 5.5–5.6).
 
-    Each round enumerates tail patterns over the still-active indexes; if
+    Each round searches the tail sets of the still-active indexes; if
     one index closes every champion it is fixed to the end (precedences
     from every other active index) and the analysis recurses on the rest.
     ``engine`` supplies the built-set runtime memo, as in
@@ -212,7 +267,7 @@ def apply_tails(
     active = set(range(instance.n_indexes))
     while len(active) >= 3:
         forced = _find_forced_last(
-            instance, constraints, active, max_patterns, max_length, engine
+            constraints, active, max_patterns, max_length, engine
         )
         if forced is None:
             break

@@ -12,11 +12,14 @@ group, and whether one index closes every champion.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List
 
-from repro.analysis.constraints import ConstraintSet
 from repro.analysis.fixpoint import analyze
-from repro.analysis.tails import enumerate_tail_patterns
+from repro.analysis.tails import (
+    TailPattern,
+    enumerate_tail_patterns,
+    tail_champion,
+)
 from repro.experiments.harness import ResultTable, quick_mode
 from repro.experiments.instances import reduced_tpch
 
@@ -46,19 +49,17 @@ def run(
     if not patterns:
         table.add_note("no feasible tail patterns at this length")
         return table
-    champions: Dict[frozenset, float] = {}
+    groups: Dict[frozenset, List[TailPattern]] = {}
     for pattern in patterns:
-        key = pattern.tail_set
-        if key not in champions or pattern.objective < champions[key]:
-            champions[key] = pattern.objective
+        groups.setdefault(pattern.tail_set, []).append(pattern)
+    # The analysis's own rule picks one champion per tail set.
+    champions = {key: tail_champion(group) for key, group in groups.items()}
+    last_of_champions = {champion.order[-1] for champion in champions.values()}
     shown = 0
-    last_of_champions = set()
     for pattern in sorted(
         patterns, key=lambda p: (sorted(p.tail_set), p.objective)
     ):
-        is_champion = abs(pattern.objective - champions[pattern.tail_set]) < 1e-9
-        if is_champion:
-            last_of_champions.add(pattern.order[-1])
+        is_champion = pattern is champions[pattern.tail_set]
         if shown < max_rows:
             arrow = " -> ".join(
                 instance.indexes[i].name for i in pattern.order

@@ -98,6 +98,11 @@ class _Lattice:
                         if pred not in unit_set:
                             mask |= 1 << pred
                 self.pred_masks[unit_id] = mask
+        # The lone member of each single-index unit, else None: the
+        # searches inline such a unit's step cost.
+        self.single = [
+            unit[0] if len(unit) == 1 else None for unit in self.units
+        ]
         self.full_mask = (1 << self.n) - 1
         self._heuristic: Dict[int, float] = {}
 
@@ -105,21 +110,26 @@ class _Lattice:
         """Weighted total query runtime for a built-set bitmask."""
         return self.engine.runtime_of(mask)
 
-    def unit_cost(self, unit_id: int, mask: int) -> Tuple[float, float]:
+    def unit_cost(
+        self, unit_id: int, mask: int, runtime: Optional[float] = None
+    ) -> Tuple[float, float]:
         """Objective and elapsed-cost contribution of deploying a unit.
 
         Deploys the unit's members in chain order starting from built-set
-        ``mask``; returns ``(objective_delta, total_build_cost)``.
+        ``mask``, whose runtime is ``runtime`` when the caller has read
+        it; returns ``(objective_delta, total_build_cost)``.
         """
         objective = 0.0
         total_cost = 0.0
         current_mask = mask
         for member in self.units[unit_id]:
-            runtime = self.engine.runtime_of(current_mask)
+            if runtime is None:
+                runtime = self.engine.runtime_of(current_mask)
             cost = self.engine.build_cost_in(member, current_mask)
             objective += runtime * cost
             total_cost += cost
             current_mask |= 1 << member
+            runtime = None
         return objective, total_cost
 
     def heuristic(self, mask: int) -> float:
@@ -214,21 +224,41 @@ class SubsetDPSolver(Solver):
         # expanded all its states already carry their final values.
         layers: Dict[int, set] = {0: {0}}
         nodes = 0
-        order_of_units = range(len(lattice.units))
+        unit_ids = range(len(lattice.units))
+        unit_masks, pred_masks = lattice.unit_masks, lattice.pred_masks
+        single = lattice.single
+        helpers, ctime = lattice.engine.helpers, lattice.engine.ctime
         for popcount in range(instance.n_indexes):
             masks = layers.pop(popcount, None)
             if not masks:
                 continue
             for mask in sorted(masks):
                 base = best[mask]
-                for unit_id in order_of_units:
-                    if not lattice.expandable(unit_id, mask):
+                # Read once, at the first child: a set with none is
+                # never looked up.
+                runtime = None
+                for unit_id in unit_ids:
+                    unit_mask = unit_masks[unit_id]
+                    pred_mask = pred_masks[unit_id]
+                    if mask & unit_mask or mask & pred_mask != pred_mask:
                         continue
                     nodes += 1
                     if budget is not None and budget.tick():
                         return _timeout(self.name, lattice, start, nodes)
-                    objective_delta, _ = lattice.unit_cost(unit_id, mask)
-                    new_mask = mask | lattice.unit_masks[unit_id]
+                    if runtime is None:
+                        runtime = lattice.runtime(mask)
+                    member = single[unit_id]
+                    if member is None:
+                        objective_delta = lattice.unit_cost(
+                            unit_id, mask, runtime
+                        )[0]
+                    else:
+                        saving = 0.0
+                        for helper, value in helpers[member]:
+                            if mask >> helper & 1 and value > saving:
+                                saving = value
+                        objective_delta = runtime * (ctime[member] - saving)
+                    new_mask = mask | unit_mask
                     candidate = base + objective_delta
                     if candidate < best.get(new_mask, float("inf")) - 1e-15:
                         best[new_mask] = candidate
@@ -280,6 +310,10 @@ class AStarSolver(Solver):
         root_h = lattice.heuristic(0)
         heap: List[Tuple[float, int, float]] = [(root_h, 0, root_h)]
         nodes = 0
+        unit_ids = range(len(lattice.units))
+        unit_masks, pred_masks = lattice.unit_masks, lattice.pred_masks
+        single = lattice.single
+        helpers, ctime = lattice.engine.helpers, lattice.engine.ctime
         while heap:
             f_value, mask, h_value = heapq.heappop(heap)
             if mask == lattice.full_mask:
@@ -295,15 +329,31 @@ class AStarSolver(Solver):
                 )
             if f_value > g_score.get(mask, float("inf")) + h_value + 1e-12:
                 continue  # stale heap entry
-            for unit_id in range(len(lattice.units)):
-                if not lattice.expandable(unit_id, mask):
+            # Every popped set's runtime is in the memo (its heuristic
+            # read it), and every child steps from it.
+            runtime = lattice.runtime(mask)
+            base = g_score[mask]
+            for unit_id in unit_ids:
+                unit_mask = unit_masks[unit_id]
+                pred_mask = pred_masks[unit_id]
+                if mask & unit_mask or mask & pred_mask != pred_mask:
                     continue
                 nodes += 1
                 if budget is not None and budget.tick():
                     return _timeout(self.name, lattice, start, nodes)
-                objective_delta, _ = lattice.unit_cost(unit_id, mask)
-                new_mask = mask | lattice.unit_masks[unit_id]
-                tentative = g_score[mask] + objective_delta
+                member = single[unit_id]
+                if member is None:
+                    objective_delta = lattice.unit_cost(
+                        unit_id, mask, runtime
+                    )[0]
+                else:
+                    saving = 0.0
+                    for helper, value in helpers[member]:
+                        if mask >> helper & 1 and value > saving:
+                            saving = value
+                    objective_delta = runtime * (ctime[member] - saving)
+                new_mask = mask | unit_mask
+                tentative = base + objective_delta
                 if tentative < g_score.get(new_mask, float("inf")) - 1e-15:
                     g_score[new_mask] = tentative
                     parents[new_mask] = (mask, unit_id)
