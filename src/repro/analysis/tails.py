@@ -33,7 +33,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.constraints import ConstraintSet
+from repro.analysis.constraints import ConstraintSet, _popcount
 from repro.core.engine import EvalEngine
 from repro.core.instance import ProblemInstance
 from repro.errors import InfeasibleError
@@ -128,7 +128,7 @@ def _tail_sets(
     """
     active_mask = EvalEngine.mask_of(active)
     later = {t: constraints.successor_mask(t) & active_mask for t in active}
-    candidates = [t for t in sorted(active) if later[t].bit_count() < length]
+    candidates = [t for t in sorted(active) if _popcount(later[t]) < length]
     orders_per_set = math.factorial(length)
     if not any(later[t] for t in candidates):
         # Every set passes the closure: count them without listing them.

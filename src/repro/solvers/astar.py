@@ -98,9 +98,11 @@ class _Lattice:
                         if pred not in unit_set:
                             mask |= 1 << pred
                 self.pred_masks[unit_id] = mask
-        # The lone member of each single-index unit, else None: the
-        # searches inline such a unit's step cost.
-        self.single = [
+        self._unit_tests = list(
+            zip(range(len(self.units)), self.unit_masks, self.pred_masks)
+        )
+        # The lone member of each single-index unit, else None.
+        self._single = [
             unit[0] if len(unit) == 1 else None for unit in self.units
         ]
         self.full_mask = (1 << self.n) - 1
@@ -145,10 +147,30 @@ class _Lattice:
             self._heuristic[mask] = value
         return value
 
-    def expandable(self, unit_id: int, mask: int) -> bool:
-        if mask & self.unit_masks[unit_id]:
-            return False
-        return (mask & self.pred_masks[unit_id]) == self.pred_masks[unit_id]
+    def expansions(self, mask: int) -> List[int]:
+        """Units deployable from built-set ``mask``, in unit order.
+
+        A unit qualifies when none of its members is built yet and every
+        predecessor outside it is.
+        """
+        return [
+            unit_id
+            for unit_id, unit_mask, pred_mask in self._unit_tests
+            if not mask & unit_mask and mask & pred_mask == pred_mask
+        ]
+
+    def step_cost(self, unit_id: int, mask: int, runtime: float) -> float:
+        """Objective contribution of deploying a unit from ``mask``.
+
+        ``runtime`` is ``mask``'s runtime, which the searches read once
+        for all of a set's children.  Equal, bit for bit, to
+        ``unit_cost(unit_id, mask, runtime)[0]``: a single-index unit
+        skips that method's chain loop.
+        """
+        member = self._single[unit_id]
+        if member is None:
+            return self.unit_cost(unit_id, mask, runtime)[0]
+        return runtime * self.engine.build_cost_in(member, mask)
 
 
 def _reconstruct(
@@ -224,10 +246,6 @@ class SubsetDPSolver(Solver):
         # expanded all its states already carry their final values.
         layers: Dict[int, set] = {0: {0}}
         nodes = 0
-        unit_ids = range(len(lattice.units))
-        unit_masks, pred_masks = lattice.unit_masks, lattice.pred_masks
-        single = lattice.single
-        helpers, ctime = lattice.engine.helpers, lattice.engine.ctime
         for popcount in range(instance.n_indexes):
             masks = layers.pop(popcount, None)
             if not masks:
@@ -237,28 +255,14 @@ class SubsetDPSolver(Solver):
                 # Read once, at the first child: a set with none is
                 # never looked up.
                 runtime = None
-                for unit_id in unit_ids:
-                    unit_mask = unit_masks[unit_id]
-                    pred_mask = pred_masks[unit_id]
-                    if mask & unit_mask or mask & pred_mask != pred_mask:
-                        continue
+                for unit_id in lattice.expansions(mask):
                     nodes += 1
                     if budget is not None and budget.tick():
                         return _timeout(self.name, lattice, start, nodes)
                     if runtime is None:
                         runtime = lattice.runtime(mask)
-                    member = single[unit_id]
-                    if member is None:
-                        objective_delta = lattice.unit_cost(
-                            unit_id, mask, runtime
-                        )[0]
-                    else:
-                        saving = 0.0
-                        for helper, value in helpers[member]:
-                            if mask >> helper & 1 and value > saving:
-                                saving = value
-                        objective_delta = runtime * (ctime[member] - saving)
-                    new_mask = mask | unit_mask
+                    objective_delta = lattice.step_cost(unit_id, mask, runtime)
+                    new_mask = mask | lattice.unit_masks[unit_id]
                     candidate = base + objective_delta
                     if candidate < best.get(new_mask, float("inf")) - 1e-15:
                         best[new_mask] = candidate
@@ -310,10 +314,6 @@ class AStarSolver(Solver):
         root_h = lattice.heuristic(0)
         heap: List[Tuple[float, int, float]] = [(root_h, 0, root_h)]
         nodes = 0
-        unit_ids = range(len(lattice.units))
-        unit_masks, pred_masks = lattice.unit_masks, lattice.pred_masks
-        single = lattice.single
-        helpers, ctime = lattice.engine.helpers, lattice.engine.ctime
         while heap:
             f_value, mask, h_value = heapq.heappop(heap)
             if mask == lattice.full_mask:
@@ -333,26 +333,12 @@ class AStarSolver(Solver):
             # read it), and every child steps from it.
             runtime = lattice.runtime(mask)
             base = g_score[mask]
-            for unit_id in unit_ids:
-                unit_mask = unit_masks[unit_id]
-                pred_mask = pred_masks[unit_id]
-                if mask & unit_mask or mask & pred_mask != pred_mask:
-                    continue
+            for unit_id in lattice.expansions(mask):
                 nodes += 1
                 if budget is not None and budget.tick():
                     return _timeout(self.name, lattice, start, nodes)
-                member = single[unit_id]
-                if member is None:
-                    objective_delta = lattice.unit_cost(
-                        unit_id, mask, runtime
-                    )[0]
-                else:
-                    saving = 0.0
-                    for helper, value in helpers[member]:
-                        if mask >> helper & 1 and value > saving:
-                            saving = value
-                    objective_delta = runtime * (ctime[member] - saving)
-                new_mask = mask | unit_mask
+                objective_delta = lattice.step_cost(unit_id, mask, runtime)
+                new_mask = mask | lattice.unit_masks[unit_id]
                 tentative = base + objective_delta
                 if tentative < g_score.get(new_mask, float("inf")) - 1e-15:
                     g_score[new_mask] = tentative

@@ -7,18 +7,25 @@ same precedences offered in the same order with the same reasons, the
 same patterns for ``enumerate_tail_patterns``, and the same
 ``analyze()`` report on every reduced TPC-H cell and on full TPC-H and
 TPC-DS.  A guard holds the early exit to a few runtime lookups where
-the full enumeration makes thousands.
+the full enumeration makes thousands, and another checks that tail sets
+with no active successor are counted, not listed.
 """
 
 from __future__ import annotations
 
 import pytest
+import itertools
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.constraints import ConstraintSet
 from repro.analysis.fixpoint import analyze
-from repro.analysis.tails import apply_tails, enumerate_tail_patterns
+from repro.analysis.tails import (
+    _tail_sets,
+    apply_tails,
+    enumerate_tail_patterns,
+)
 from repro.core.engine import EvalEngine
 from repro.errors import InfeasibleError
 from repro.experiments.instances import (
@@ -173,3 +180,22 @@ def test_tails_stop_once_the_answer_is_known(cell):
     constraints = ConstraintSet(instance.n_indexes)
     assert apply_tails(instance, constraints, engine=engine) == 0
     assert engine.stats.memo_hits + engine.stats.memo_misses <= ceiling
+
+
+def test_unconstrained_tail_sets_are_counted_not_listed():
+    # No candidate has a successor inside ``active``, so the threshold
+    # is a binomial count and the sets come lazily, in combinations
+    # order; one active successor brings the listing back.
+    active = set(range(40))
+    constraints = ConstraintSet(40)
+    sets = _tail_sets(constraints, active, 2, 20000)
+    assert not isinstance(sets, list)
+    assert list(sets) == list(itertools.combinations(range(40), 2))
+    assert _tail_sets(constraints, active, 3, 40 * 39 * 38 - 1) is None
+    constraints.add_precedence(0, 1)
+    sets = _tail_sets(constraints, active, 2, 20000)
+    assert isinstance(sets, list)
+    assert sets == [
+        combo for combo in itertools.combinations(range(40), 2)
+        if combo[0] != 0 or combo[1] == 1
+    ]

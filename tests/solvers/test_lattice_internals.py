@@ -82,13 +82,13 @@ class TestLattice:
         lattice = _Lattice(instance, constraints, EvalEngine(instance))
         unit_of = {unit: i for i, unit in enumerate(lattice.units)}
         unit_0 = unit_of[(0,)]
-        assert not lattice.expandable(unit_0, 0)  # 2 not built yet
-        assert lattice.expandable(unit_0, 1 << 2)
+        assert unit_0 not in lattice.expansions(0)  # 2 not built yet
+        assert unit_0 in lattice.expansions(1 << 2)
 
     def test_expandable_rejects_already_built(self):
         instance = small_synthetic(seed=1, n=4)
         lattice = _Lattice(instance, None, EvalEngine(instance))
-        assert not lattice.expandable(0, 1 << 0)
+        assert lattice.expansions(1 << 0) == [1, 2, 3]
 
 
 class TestAStarWithUnits:
