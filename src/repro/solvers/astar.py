@@ -98,7 +98,7 @@ class _Lattice:
                         if pred not in unit_set:
                             mask |= 1 << pred
                 self.pred_masks[unit_id] = mask
-        self._unit_tests = list(
+        self._expansion_masks = list(
             zip(range(len(self.units)), self.unit_masks, self.pred_masks)
         )
         # The lone member of each single-index unit, else None.
@@ -155,7 +155,7 @@ class _Lattice:
         """
         return [
             unit_id
-            for unit_id, unit_mask, pred_mask in self._unit_tests
+            for unit_id, unit_mask, pred_mask in self._expansion_masks
             if not mask & unit_mask and mask & pred_mask == pred_mask
         ]
 
